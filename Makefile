@@ -18,9 +18,12 @@ build:
 	$(GO) build ./...
 
 # Determinism and hot-path invariants, machine-enforced. See DESIGN.md
-# "Determinism invariants & static analysis".
+# "Determinism invariants & static analysis". perfbench/ is a nested
+# module that `./...` skips, so it is vetted on its own: an API change in
+# sim, server or cache must break lint, not the benchmark run.
 lint: fmt-check
 	$(GO) vet ./...
+	$(GO) vet -C perfbench ./...
 	$(GO) run ./cmd/desalint ./...
 
 # Lint with a wall-clock budget: the dataflow-backed analyzers

@@ -31,13 +31,13 @@ import (
 )
 
 // benchSim is the reduced standard cell used by the figure benches.
-func benchSim(scheme core.Scheme, n int, beamDeg float64) experiments.SimConfig {
-	return experiments.SimConfig{
-		Scheme:       scheme,
+func benchSim(scheme core.Scheme, n int, beamDeg float64) sim.Scenario {
+	return sim.Scenario{
+		Scheme:       scheme.String(),
 		BeamwidthDeg: beamDeg,
-		N:            n,
 		Seed:         1,
-		Duration:     500 * des.Millisecond,
+		Duration:     sim.Duration(500 * des.Millisecond),
+		Topology:     sim.TopologySpec{N: n},
 	}
 }
 
@@ -70,7 +70,7 @@ func BenchmarkFig6(b *testing.B) {
 		b.Run(s.String(), func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunSim(benchSim(s, 8, 30))
+				res, err := sim.RunScenario(benchSim(s, 8, 30), sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -87,7 +87,7 @@ func BenchmarkFig7(b *testing.B) {
 		b.Run(s.String(), func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunSim(benchSim(s, 8, 30))
+				res, err := sim.RunScenario(benchSim(s, 8, 30), sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -106,7 +106,7 @@ func BenchmarkCollisionRatio(b *testing.B) {
 		b.Run(s.String(), func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunSim(benchSim(s, 8, 30))
+				res, err := sim.RunScenario(benchSim(s, 8, 30), sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -124,7 +124,7 @@ func BenchmarkFairness(b *testing.B) {
 		b.Run(map[float64]string{30: "narrow30", 150: "wide150"}[beam], func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunSim(benchSim(core.DRTSDCTS, 5, beam))
+				res, err := sim.RunScenario(benchSim(core.DRTSDCTS, 5, beam), sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -141,9 +141,9 @@ func BenchmarkFairness(b *testing.B) {
 func BenchmarkLoadSweep(b *testing.B) {
 	var last float64
 	for i := 0; i < b.N; i++ {
-		cfg := benchSim(core.DRTSDCTS, 5, 30)
-		cfg.OfferedLoadBps = 100_000
-		res, err := experiments.RunSim(cfg)
+		sc := benchSim(core.DRTSDCTS, 5, 30)
+		sc.Traffic = sim.TrafficSpec{Kind: "cbr", OfferedLoadBps: 100_000}
+		res, err := sim.RunScenario(sc, sim.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,9 +164,9 @@ func BenchmarkAblationBasicAccess(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				cfg := benchSim(core.ORTSOCTS, 8, 0)
-				cfg.BasicAccess = basic
-				res, err := experiments.RunSim(cfg)
+				sc := benchSim(core.ORTSOCTS, 8, 0)
+				sc.Ablations.BasicAccess = basic
+				res, err := sim.RunScenario(sc, sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -189,9 +189,9 @@ func BenchmarkAblationCapture(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				cfg := benchSim(core.DRTSDCTS, 8, 30)
-				cfg.Capture = capture
-				res, err := experiments.RunSim(cfg)
+				sc := benchSim(core.DRTSDCTS, 8, 30)
+				sc.PHY.Capture = capture
+				res, err := sim.RunScenario(sc, sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -214,9 +214,9 @@ func BenchmarkAblationOracleNAV(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				cfg := benchSim(core.DRTSDCTS, 8, 30)
-				cfg.NAVOracle = oracle
-				res, err := experiments.RunSim(cfg)
+				sc := benchSim(core.DRTSDCTS, 8, 30)
+				sc.PHY.NAVOracle = oracle
+				res, err := sim.RunScenario(sc, sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -238,9 +238,9 @@ func BenchmarkAblationEIFS(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				cfg := benchSim(core.ORTSOCTS, 8, 0)
-				cfg.DisableEIFS = disable
-				res, err := experiments.RunSim(cfg)
+				sc := benchSim(core.ORTSOCTS, 8, 0)
+				sc.Ablations.DisableEIFS = disable
+				res, err := sim.RunScenario(sc, sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -379,10 +379,9 @@ func BenchmarkScenarioCache(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cfg := benchSim(core.DRTSDCTS, 5, 90)
-			cfg.Seed = int64(i + 1) // unique key per iteration: all misses
-			cfg.Cache = store
-			if _, err := experiments.RunSim(cfg); err != nil {
+			sc := benchSim(core.DRTSDCTS, 5, 90)
+			sc.Seed = int64(i + 1) // unique key per iteration: all misses
+			if _, err := sim.RunScenario(sc, sim.Options{Cache: store}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -392,14 +391,14 @@ func BenchmarkScenarioCache(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := benchSim(core.DRTSDCTS, 5, 90)
-		cfg.Cache = store
-		if _, err := experiments.RunSim(cfg); err != nil { // populate
+		sc := benchSim(core.DRTSDCTS, 5, 90)
+		opts := sim.Options{Cache: store}
+		if _, err := sim.RunScenario(sc, opts); err != nil { // populate
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := experiments.RunSim(cfg); err != nil {
+			if _, err := sim.RunScenario(sc, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -413,9 +412,9 @@ func BenchmarkScenarioCache(b *testing.B) {
 // second of the paper's N=5 network.
 func BenchmarkSimulationSecond(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := benchSim(core.DRTSDCTS, 5, 90)
-		cfg.Duration = des.Second
-		if _, err := experiments.RunSim(cfg); err != nil {
+		sc := benchSim(core.DRTSDCTS, 5, 90)
+		sc.Duration = sim.Duration(des.Second)
+		if _, err := sim.RunScenario(sc, sim.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -428,9 +427,9 @@ func BenchmarkSimulationSecond(b *testing.B) {
 // extra allocations).
 func BenchmarkTelemetryOff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := benchSim(core.DRTSDCTS, 5, 90)
-		cfg.Duration = des.Second
-		if _, err := experiments.RunSim(cfg); err != nil {
+		sc := benchSim(core.DRTSDCTS, 5, 90)
+		sc.Duration = sim.Duration(des.Second)
+		if _, err := sim.RunScenario(sc, sim.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -442,11 +441,10 @@ func BenchmarkTelemetryOff(b *testing.B) {
 // probe's per-tick record construction).
 func BenchmarkTelemetryOn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := benchSim(core.DRTSDCTS, 5, 90)
-		cfg.Duration = des.Second
-		cfg.TelemetryInterval = 10 * des.Millisecond
-		cfg.Telemetry = telemetry.Discard{}
-		if _, err := experiments.RunSim(cfg); err != nil {
+		sc := benchSim(core.DRTSDCTS, 5, 90)
+		sc.Duration = sim.Duration(des.Second)
+		sc.Telemetry.Interval = sim.Duration(10 * des.Millisecond)
+		if _, err := sim.RunScenario(sc, sim.Options{Telemetry: telemetry.Discard{}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -651,10 +649,11 @@ func BenchmarkMobilitySweep(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				cfg := benchSim(core.DRTSDCTS, 5, 30)
-				cfg.MaxSpeed = speed
-				cfg.RefreshInterval = des.Second
-				res, err := experiments.RunSim(cfg)
+				sc := benchSim(core.DRTSDCTS, 5, 30)
+				if speed > 0 {
+					sc.Mobility = sim.MobilitySpec{Kind: "waypoint", MaxSpeed: speed, RefreshInterval: sim.Duration(des.Second)}
+				}
+				res, err := sim.RunScenario(sc, sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -677,9 +676,9 @@ func BenchmarkAblationSINR(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				cfg := benchSim(core.DRTSDCTS, 8, 30)
-				cfg.SINR = sinr
-				res, err := experiments.RunSim(cfg)
+				sc := benchSim(core.DRTSDCTS, 8, 30)
+				sc.PHY.SINR = sinr
+				res, err := sim.RunScenario(sc, sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -696,8 +695,8 @@ func BenchmarkAblationSINR(b *testing.B) {
 func BenchmarkModelVsSim(b *testing.B) {
 	var rho float64
 	for i := 0; i < b.N; i++ {
-		base := experiments.SimConfig{Seed: 1, Duration: 500 * des.Millisecond}
-		rows, err := experiments.ModelVsSim(base, []int{8}, []float64{30}, 1)
+		base := sim.Scenario{Seed: 1, Duration: sim.Duration(500 * des.Millisecond)}
+		rows, err := experiments.ModelVsSim(sim.Runner{}, base, []int{8}, []float64{30}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -718,13 +717,12 @@ func BenchmarkAdaptiveRTS(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				cfg := benchSim(core.DRTSDCTS, 5, 30)
-				cfg.MaxSpeed = 1.0
-				cfg.RefreshInterval = des.Second
+				sc := benchSim(core.DRTSDCTS, 5, 30)
+				sc.Mobility = sim.MobilitySpec{Kind: "waypoint", MaxSpeed: 1.0, RefreshInterval: sim.Duration(des.Second)}
 				if adaptive {
-					cfg.AdaptiveRTS = 200 * des.Millisecond
+					sc.Ablations.AdaptiveRTS = sim.Duration(200 * des.Millisecond)
 				}
-				res, err := experiments.RunSim(cfg)
+				res, err := sim.RunScenario(sc, sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -99,6 +100,46 @@ func TestDumpScenario(t *testing.T) {
 	}
 	if sc.Seed != 3 || sc.Duration.String() != "2s" {
 		t.Errorf("dumped scenario seed=%d duration=%v", sc.Seed, sc.Duration)
+	}
+	// Unset scheme, N and beamwidth take the single-run defaults, so the
+	// dump is a scenario the tool itself accepts.
+	if sc.Scheme != "DRTS-DCTS" || sc.Topology.N != 5 || sc.BeamwidthDeg != 30 {
+		t.Errorf("dumped scenario scheme=%q n=%d beam=%v, want DRTS-DCTS 5 30", sc.Scheme, sc.Topology.N, sc.BeamwidthDeg)
+	}
+	path := filepath.Join(t.TempDir(), "dump.json")
+	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := capture(t, func() error { return run([]string{"-scenario", path, "-run", "table1"}) }); err != nil {
+		t.Errorf("dumped scenario rejected on reload: %v", err)
+	}
+}
+
+// TestDumpScenarioRoundTrip: -scenario F -dump-scenario prints F itself,
+// every section intact, so a study runs exactly the file it was given.
+func TestDumpScenarioRoundTrip(t *testing.T) {
+	want, err := sim.MarshalScenario(sim.Scenario{
+		Scheme:       "DRTS-OCTS",
+		BeamwidthDeg: 60,
+		Seed:         4,
+		Duration:     sim.Duration(150 * time.Millisecond),
+		Topology:     sim.TopologySpec{N: 4, Radius: 1.5, Rings: 4},
+		Traffic:      sim.TrafficSpec{Kind: "cbr", OfferedLoadBps: 100_000, QueueCap: 16},
+		Telemetry:    sim.TelemetrySpec{Interval: sim.Duration(10 * time.Millisecond), MaxNodes: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "f.json")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := capture(t, func() error { return run([]string{"-scenario", path, "-dump-scenario"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("dump differs from the scenario file\n--- file ---\n%s--- dump ---\n%s", want, got)
 	}
 }
 

@@ -79,20 +79,20 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		sc = experiments.SimConfig{
-			Scheme:         scheme,
-			BeamwidthDeg:   *beamDeg,
-			N:              *n,
-			TopologyKind:   *topoKind,
-			Seed:           *seed,
-			Duration:       des.Time(duration.Nanoseconds()),
-			PacketBytes:    *packet,
-			HelloBootstrap: *hello,
-			Capture:        *capture,
-			NAVOracle:      *oracle,
-			DisableEIFS:    *noEIFS,
-			AdaptiveRTS:    des.Time(adaptive.Nanoseconds()),
-		}.Scenario()
+		sc = sim.Scenario{
+			Scheme:       scheme.String(),
+			BeamwidthDeg: *beamDeg,
+			Seed:         *seed,
+			Duration:     sim.Duration(duration.Nanoseconds()),
+			Topology:     sim.TopologySpec{Kind: *topoKind, N: *n},
+			Traffic:      sim.TrafficSpec{PacketBytes: *packet},
+			PHY:          sim.PHYSpec{Capture: *capture, NAVOracle: *oracle},
+			Ablations: sim.AblationSpec{
+				DisableEIFS:    *noEIFS,
+				HelloBootstrap: *hello,
+				AdaptiveRTS:    sim.Duration(adaptive.Nanoseconds()),
+			},
+		}
 	}
 	// -fastforward opts in on top of whatever the scenario says; it never
 	// forces the slow path off for a scenario that enabled it itself.

@@ -13,16 +13,20 @@
 //   - The discrete-event simulator (Section 4): a full IEEE 802.11 DCF
 //     implementation with directional-transmission variants on the
 //     paper's concentric-ring topologies, via Simulate, SimulateBatch and
-//     SimulateGrid.
+//     SimulateGrid. A run is described by a Scenario, the same JSON
+//     form the netsim and simd tools read.
 //
 // A minimal session:
 //
 //	p, th, _ := dirca.MaxThroughput(dirca.DRTSDCTS, dirca.ModelParams{
 //		N: 5, Beamwidth: math.Pi / 6, Lengths: dirca.PaperLengths(),
 //	})
-//	res, _ := dirca.Simulate(dirca.SimConfig{
-//		Scheme: dirca.DRTSDCTS, BeamwidthDeg: 30, N: 5,
-//		Seed: 1, Duration: 5 * dirca.Second,
+//	res, _ := dirca.Simulate(dirca.Scenario{
+//		Scheme:       dirca.DRTSDCTS.String(),
+//		BeamwidthDeg: 30,
+//		Seed:         1,
+//		Duration:     dirca.Duration(5 * dirca.Second),
+//		Topology:     dirca.TopologySpec{N: 5},
 //	})
 package dirca
 
@@ -30,6 +34,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/experiments"
+	"repro/internal/sim"
 )
 
 // Scheme identifies a collision-avoidance scheme.
@@ -91,10 +96,21 @@ type Fig5Row = experiments.Fig5Row
 // beamwidth, 15°..180°) for each density in ns.
 func Fig5Table(ns []float64) ([]Fig5Row, error) { return experiments.Fig5(ns) }
 
-// SimConfig configures one simulation run. See the field documentation
-// in the experiments package; the zero PacketBytes defaults to the
-// paper's 1460 bytes.
-type SimConfig = experiments.SimConfig
+// Scenario describes one simulation run: Scheme names the scheme (its
+// String form), Topology.N is the density, and the zero traffic section
+// means saturated sources with the paper's 1460-byte packets. See the
+// field documentation in internal/sim.
+type Scenario = sim.Scenario
+
+// Duration is a simulation duration that serializes as a Go duration
+// string; convert a Time with Duration(t).
+type Duration = sim.Duration
+
+// TopologySpec selects the node placement; N is the paper's density.
+type TopologySpec = sim.TopologySpec
+
+// MobilitySpec animates node positions (kind "waypoint").
+type MobilitySpec = sim.MobilitySpec
 
 // SimResult holds per-run metrics for the measured inner nodes.
 type SimResult = experiments.SimResult
@@ -107,18 +123,18 @@ type GridCell = experiments.GridCell
 
 // Simulate runs one complete simulation (topology generation, PHY, MAC,
 // saturated traffic) and reports inner-node metrics.
-func Simulate(cfg SimConfig) (*SimResult, error) { return experiments.RunSim(cfg) }
+func Simulate(sc Scenario) (*SimResult, error) { return sim.RunScenario(sc, sim.Options{}) }
 
-// SimulateBatch runs cfg over the given number of independent random
+// SimulateBatch runs sc over the given number of independent random
 // topologies in parallel and aggregates the per-topology means.
-func SimulateBatch(cfg SimConfig, topologies int) (*BatchResult, error) {
-	return experiments.RunBatch(cfg, topologies)
+func SimulateBatch(sc Scenario, topologies int) (*BatchResult, error) {
+	return experiments.RunBatch(sim.Runner{}, sc, topologies)
 }
 
 // SimulateGrid sweeps scheme × N × beamwidth, mirroring the paper's
 // Figs. 6 and 7.
-func SimulateGrid(base SimConfig, schemes []Scheme, ns []int, beamsDeg []float64, topologies int) ([]GridCell, error) {
-	return experiments.RunGrid(base, schemes, ns, beamsDeg, topologies)
+func SimulateGrid(base Scenario, schemes []Scheme, ns []int, beamsDeg []float64, topologies int) ([]GridCell, error) {
+	return experiments.RunGrid(sim.Runner{}, base, schemes, ns, beamsDeg, topologies)
 }
 
 // PaperGrid returns the paper's simulation sweep: N ∈ {3,5,8},

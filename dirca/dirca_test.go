@@ -53,9 +53,9 @@ func TestFig5TableFacade(t *testing.T) {
 }
 
 func TestSimulateFacade(t *testing.T) {
-	res, err := dirca.Simulate(dirca.SimConfig{
-		Scheme: dirca.ORTSOCTS, N: 3, Seed: 2,
-		Duration: 500 * dirca.Millisecond,
+	res, err := dirca.Simulate(dirca.Scenario{
+		Scheme: dirca.ORTSOCTS.String(), Topology: dirca.TopologySpec{N: 3}, Seed: 2,
+		Duration: dirca.Duration(500 * dirca.Millisecond),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,9 +69,9 @@ func TestSimulateFacade(t *testing.T) {
 }
 
 func TestSimulateBatchFacade(t *testing.T) {
-	b, err := dirca.SimulateBatch(dirca.SimConfig{
-		Scheme: dirca.DRTSOCTS, BeamwidthDeg: 90, N: 3, Seed: 4,
-		Duration: 300 * dirca.Millisecond,
+	b, err := dirca.SimulateBatch(dirca.Scenario{
+		Scheme: dirca.DRTSOCTS.String(), BeamwidthDeg: 90, Topology: dirca.TopologySpec{N: 3}, Seed: 4,
+		Duration: dirca.Duration(300 * dirca.Millisecond),
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestSimulateBatchFacade(t *testing.T) {
 }
 
 func TestSimulateGridFacade(t *testing.T) {
-	base := dirca.SimConfig{Seed: 5, Duration: 200 * dirca.Millisecond}
+	base := dirca.Scenario{Seed: 5, Duration: dirca.Duration(200 * dirca.Millisecond)}
 	cells, err := dirca.SimulateGrid(base, []dirca.Scheme{dirca.ORTSOCTS}, []int{3}, []float64{30}, 1)
 	if err != nil {
 		t.Fatal(err)

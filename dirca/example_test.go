@@ -62,11 +62,11 @@ func ExampleAttemptProbability() {
 // ExampleSimulate runs one small deterministic simulation and reports
 // whether the saturated network made progress.
 func ExampleSimulate() {
-	res, err := dirca.Simulate(dirca.SimConfig{
-		Scheme:   dirca.ORTSOCTS,
-		N:        3,
+	res, err := dirca.Simulate(dirca.Scenario{
+		Scheme:   dirca.ORTSOCTS.String(),
+		Topology: dirca.TopologySpec{N: 3},
 		Seed:     1,
-		Duration: 500 * dirca.Millisecond,
+		Duration: dirca.Duration(500 * dirca.Millisecond),
 	})
 	if err != nil {
 		fmt.Println("error:", err)

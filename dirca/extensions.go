@@ -3,6 +3,7 @@ package dirca
 import (
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/sim"
 )
 
 // This file exposes the extension studies that go beyond the paper's
@@ -45,8 +46,8 @@ func Fig5Sensitivity(n float64, dataLens []int) (map[int][]Fig5Row, error) {
 type LoadCell = experiments.LoadCell
 
 // LoadSweep sweeps per-node offered CBR load for each scheme.
-func LoadSweep(base SimConfig, schemes []Scheme, loadsBps []float64, topologies int) ([]LoadCell, error) {
-	return experiments.LoadSweep(base, schemes, loadsBps, topologies)
+func LoadSweep(base Scenario, schemes []Scheme, loadsBps []float64, topologies int) ([]LoadCell, error) {
+	return experiments.LoadSweep(sim.Runner{}, base, schemes, loadsBps, topologies)
 }
 
 // MobilityCell is one mobility sweep point.
@@ -54,8 +55,8 @@ type MobilityCell = experiments.MobilityCell
 
 // MobilitySweep sweeps maximum node speed for each scheme under
 // random-waypoint motion with bounded location staleness.
-func MobilitySweep(base SimConfig, schemes []Scheme, speeds []float64, topologies int) ([]MobilityCell, error) {
-	return experiments.MobilitySweep(base, schemes, speeds, topologies)
+func MobilitySweep(base Scenario, schemes []Scheme, speeds []float64, topologies int) ([]MobilityCell, error) {
+	return experiments.MobilitySweep(sim.Runner{}, base, schemes, speeds, topologies)
 }
 
 // ModelVsSimRow compares analytical and simulated normalized throughput
@@ -64,8 +65,8 @@ type ModelVsSimRow = experiments.ModelVsSimRow
 
 // ModelVsSim evaluates the analytical model and the simulator on the
 // same grid, using the simulator's real frame timings for the model.
-func ModelVsSim(base SimConfig, ns []int, beamsDeg []float64, topologies int) ([]ModelVsSimRow, error) {
-	return experiments.ModelVsSim(base, ns, beamsDeg, topologies)
+func ModelVsSim(base Scenario, ns []int, beamsDeg []float64, topologies int) ([]ModelVsSimRow, error) {
+	return experiments.ModelVsSim(sim.Runner{}, base, ns, beamsDeg, topologies)
 }
 
 // SpearmanRank measures ordering agreement between the analytical and
@@ -79,14 +80,14 @@ type ReuseCell = experiments.ReuseCell
 
 // ReuseStudy measures the concurrent-airtime factor across schemes and
 // beamwidths — the paper's spatial-reuse mechanism quantified directly.
-func ReuseStudy(base SimConfig, schemes []Scheme, n int, beamsDeg []float64, topologies int) ([]ReuseCell, error) {
-	return experiments.ReuseStudy(base, schemes, n, beamsDeg, topologies)
+func ReuseStudy(base Scenario, schemes []Scheme, n int, beamsDeg []float64, topologies int) ([]ReuseCell, error) {
+	return experiments.ReuseStudy(sim.Runner{}, base, schemes, n, beamsDeg, topologies)
 }
 
 // DelayCDFRow is one percentile row of a delay-distribution comparison.
 type DelayCDFRow = experiments.DelayCDFRow
 
 // DelayCDF tabulates per-packet delay percentiles per scheme.
-func DelayCDF(base SimConfig, schemes []Scheme, percentiles []float64) ([]DelayCDFRow, error) {
-	return experiments.DelayCDF(base, schemes, percentiles)
+func DelayCDF(base Scenario, schemes []Scheme, percentiles []float64) ([]DelayCDFRow, error) {
+	return experiments.DelayCDF(sim.Runner{}, base, schemes, percentiles)
 }

@@ -50,9 +50,9 @@ func TestFig5SensitivityFacade(t *testing.T) {
 }
 
 func TestSweepFacades(t *testing.T) {
-	base := dirca.SimConfig{
-		Scheme: dirca.DRTSDCTS, BeamwidthDeg: 30, N: 3, Seed: 6,
-		Duration: 200 * dirca.Millisecond,
+	base := dirca.Scenario{
+		Scheme: dirca.DRTSDCTS.String(), BeamwidthDeg: 30, Topology: dirca.TopologySpec{N: 3}, Seed: 6,
+		Duration: dirca.Duration(200 * dirca.Millisecond),
 	}
 	loads, err := dirca.LoadSweep(base, []dirca.Scheme{dirca.ORTSOCTS}, []float64{100_000}, 1)
 	if err != nil {
@@ -71,7 +71,7 @@ func TestSweepFacades(t *testing.T) {
 }
 
 func TestModelVsSimFacade(t *testing.T) {
-	base := dirca.SimConfig{Seed: 6, Duration: 200 * dirca.Millisecond}
+	base := dirca.Scenario{Seed: 6, Duration: dirca.Duration(200 * dirca.Millisecond)}
 	rows, err := dirca.ModelVsSim(base, []int{3}, []float64{30}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestModelVsSimFacade(t *testing.T) {
 }
 
 func TestReuseAndCDFFacades(t *testing.T) {
-	base := dirca.SimConfig{Seed: 9, Duration: 200 * dirca.Millisecond}
+	base := dirca.Scenario{Seed: 9, Duration: dirca.Duration(200 * dirca.Millisecond)}
 	cells, err := dirca.ReuseStudy(base, []dirca.Scheme{dirca.ORTSOCTS}, 3, []float64{30}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestReuseAndCDFFacades(t *testing.T) {
 		t.Errorf("reuse cells = %+v", cells)
 	}
 	cdfBase := base
-	cdfBase.N = 3
+	cdfBase.Topology.N = 3
 	rows, err := dirca.DelayCDF(cdfBase, []dirca.Scheme{dirca.ORTSOCTS}, []float64{50, 95})
 	if err != nil {
 		t.Fatal(err)

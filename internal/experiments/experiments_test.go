@@ -9,43 +9,19 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/des"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
-func quickCfg(scheme core.Scheme, n int, beamDeg float64) SimConfig {
-	return SimConfig{
-		Scheme:       scheme,
-		BeamwidthDeg: beamDeg,
-		N:            n,
-		Seed:         7,
-		Duration:     500 * des.Millisecond,
-	}
+func quickSc(scheme core.Scheme, n int, beamDeg float64) sim.Scenario {
+	return gridScenario(sim.Scenario{Seed: 7, Duration: sim.Duration(500 * des.Millisecond)}, scheme, n, beamDeg)
 }
 
-func TestSimConfigValidate(t *testing.T) {
-	if err := quickCfg(core.DRTSDCTS, 3, 30).Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
-	}
-	bad := []SimConfig{
-		{Scheme: core.DRTSDCTS, BeamwidthDeg: 30, N: 1, Duration: des.Second},
-		{Scheme: core.DRTSDCTS, BeamwidthDeg: 30, N: 3, Duration: 0},
-		{Scheme: core.DRTSDCTS, BeamwidthDeg: 0, N: 3, Duration: des.Second},
-		{Scheme: core.DRTSDCTS, BeamwidthDeg: 400, N: 3, Duration: des.Second},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("bad config %d validated", i)
-		}
-	}
-	// ORTS-OCTS needs no beamwidth.
-	cfg := SimConfig{Scheme: core.ORTSOCTS, N: 3, Duration: des.Second}
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("ORTS-OCTS without beamwidth rejected: %v", err)
-	}
-}
+// runOne runs sc once with no runtime overrides.
+func runOne(sc sim.Scenario) (*SimResult, error) { return sim.RunScenario(sc, sim.Options{}) }
 
 func TestRunSimBasics(t *testing.T) {
-	res, err := RunSim(quickCfg(core.ORTSOCTS, 3, 0))
+	res, err := runOne(quickSc(core.ORTSOCTS, 3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +46,12 @@ func TestRunSimBasics(t *testing.T) {
 }
 
 func TestRunSimDeterministic(t *testing.T) {
-	cfg := quickCfg(core.DRTSDCTS, 3, 90)
-	a, err := RunSim(cfg)
+	sc := quickSc(core.DRTSDCTS, 3, 90)
+	a, err := runOne(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSim(cfg)
+	b, err := runOne(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +60,8 @@ func TestRunSimDeterministic(t *testing.T) {
 			t.Fatalf("node %d throughput differs across identical runs", i)
 		}
 	}
-	cfg.Seed = 8
-	c, err := RunSim(cfg)
+	sc.Seed = 8
+	c, err := runOne(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +81,7 @@ func TestRunSimWithProvidedTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := quickCfg(core.ORTSOCTS, 3, 0)
-	cfg.Topology = topo
-	res, err := RunSim(cfg)
+	res, err := sim.RunScenario(quickSc(core.ORTSOCTS, 3, 0), sim.Options{Topology: topo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,9 +91,9 @@ func TestRunSimWithProvidedTopology(t *testing.T) {
 }
 
 func TestRunSimHelloBootstrap(t *testing.T) {
-	cfg := quickCfg(core.DRTSDCTS, 3, 90)
-	cfg.HelloBootstrap = true
-	res, err := RunSim(cfg)
+	sc := quickSc(core.DRTSDCTS, 3, 90)
+	sc.Ablations.HelloBootstrap = true
+	res, err := runOne(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +103,8 @@ func TestRunSimHelloBootstrap(t *testing.T) {
 }
 
 func TestRunBatch(t *testing.T) {
-	cfg := quickCfg(core.ORTSOCTS, 3, 0)
-	b, err := RunBatch(cfg, 4)
+	sc := quickSc(core.ORTSOCTS, 3, 0)
+	b, err := RunBatch(sim.Runner{}, sc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,15 +117,15 @@ func TestRunBatch(t *testing.T) {
 	if b.ThroughputBps.Min == b.ThroughputBps.Max {
 		t.Error("independent topologies should differ")
 	}
-	if _, err := RunBatch(cfg, 0); err == nil {
+	if _, err := RunBatch(sim.Runner{}, sc, 0); err == nil {
 		t.Error("zero topologies should be rejected")
 	}
 }
 
 func TestRunGrid(t *testing.T) {
-	base := quickCfg(core.ORTSOCTS, 0, 0) // scheme/N/beam filled by grid
-	base.Duration = 300 * des.Millisecond
-	cells, err := RunGrid(base, []core.Scheme{core.ORTSOCTS, core.DRTSDCTS}, []int{3}, []float64{30, 150}, 2)
+	base := quickSc(core.ORTSOCTS, 0, 0) // scheme/N/beam filled by grid
+	base.Duration = sim.Duration(300 * des.Millisecond)
+	cells, err := RunGrid(sim.Runner{}, base, []core.Scheme{core.ORTSOCTS, core.DRTSDCTS}, []int{3}, []float64{30, 150}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,9 +225,9 @@ func TestWriteFig5(t *testing.T) {
 }
 
 func TestWriteGrid(t *testing.T) {
-	base := quickCfg(core.ORTSOCTS, 0, 0)
-	base.Duration = 200 * des.Millisecond
-	cells, err := RunGrid(base, []core.Scheme{core.ORTSOCTS}, []int{3}, []float64{30}, 2)
+	base := quickSc(core.ORTSOCTS, 0, 0)
+	base.Duration = sim.Duration(200 * des.Millisecond)
+	cells, err := RunGrid(sim.Runner{}, base, []core.Scheme{core.ORTSOCTS}, []int{3}, []float64{30}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +278,9 @@ func TestPaperFig6Fig7Shape(t *testing.T) {
 		t.Skip("short mode")
 	}
 	run := func(s core.Scheme) *BatchResult {
-		cfg := SimConfig{Scheme: s, BeamwidthDeg: 30, N: 8, Seed: 50, Duration: des.Second}
-		b, err := RunBatch(cfg, 6)
+		sc := quickSc(s, 8, 30)
+		sc.Seed, sc.Duration = 50, sim.Duration(des.Second)
+		b, err := RunBatch(sim.Runner{}, sc, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,16 +303,16 @@ func TestPaperFig6Fig7Shape(t *testing.T) {
 }
 
 func TestAblationSwitchesRun(t *testing.T) {
-	base := quickCfg(core.DRTSDCTS, 3, 30)
-	for name, mut := range map[string]func(*SimConfig){
-		"capture":     func(c *SimConfig) { c.Capture = true },
-		"nav oracle":  func(c *SimConfig) { c.NAVOracle = true },
-		"eifs off":    func(c *SimConfig) { c.DisableEIFS = true },
-		"small bytes": func(c *SimConfig) { c.PacketBytes = 512 },
+	base := quickSc(core.DRTSDCTS, 3, 30)
+	for name, mut := range map[string]func(*sim.Scenario){
+		"capture":     func(c *sim.Scenario) { c.PHY.Capture = true },
+		"nav oracle":  func(c *sim.Scenario) { c.PHY.NAVOracle = true },
+		"eifs off":    func(c *sim.Scenario) { c.Ablations.DisableEIFS = true },
+		"small bytes": func(c *sim.Scenario) { c.Traffic.PacketBytes = 512 },
 	} {
-		cfg := base
-		mut(&cfg)
-		res, err := RunSim(cfg)
+		sc := base
+		mut(&sc)
+		res, err := runOne(sc)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -356,14 +331,15 @@ func TestNAVOracleForcesMoreWaiting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	base := SimConfig{Scheme: core.DRTSDCTS, BeamwidthDeg: 30, N: 5, Seed: 60, Duration: des.Second}
-	plain, err := RunBatch(base, 5)
+	base := quickSc(core.DRTSDCTS, 5, 30)
+	base.Seed, base.Duration = 60, sim.Duration(des.Second)
+	plain, err := RunBatch(sim.Runner{}, base, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracleCfg := base
-	oracleCfg.NAVOracle = true
-	oracle, err := RunBatch(oracleCfg, 5)
+	oracleSc := base
+	oracleSc.PHY.NAVOracle = true
+	oracle, err := RunBatch(sim.Runner{}, oracleSc, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,10 +352,10 @@ func TestNAVOracleForcesMoreWaiting(t *testing.T) {
 func TestOfferedLoadLight(t *testing.T) {
 	// At light load the network delivers essentially everything offered,
 	// with low delay compared to saturation.
-	cfg := quickCfg(core.ORTSOCTS, 3, 0)
-	cfg.Duration = des.Second
-	cfg.OfferedLoadBps = 50_000 // ≈ 4.3 pkts/s/node vs ~139 pkt/s link capacity
-	res, err := RunSim(cfg)
+	sc := quickSc(core.ORTSOCTS, 3, 0)
+	sc.Duration = sim.Duration(des.Second)
+	sc.Traffic = sim.TrafficSpec{Kind: "cbr", OfferedLoadBps: 50_000} // ≈ 4.3 pkts/s/node vs ~139 pkt/s link capacity
+	res, err := runOne(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,11 +375,13 @@ func TestOfferedLoadSaturates(t *testing.T) {
 		var sum float64
 		const runs = 5
 		for seed := int64(0); seed < runs; seed++ {
-			cfg := quickCfg(core.ORTSOCTS, 3, 0)
-			cfg.Duration = des.Second
-			cfg.Seed = 100 + seed
-			cfg.OfferedLoadBps = load
-			res, err := RunSim(cfg)
+			sc := quickSc(core.ORTSOCTS, 3, 0)
+			sc.Duration = sim.Duration(des.Second)
+			sc.Seed = 100 + seed
+			if load > 0 {
+				sc.Traffic = sim.TrafficSpec{Kind: "cbr", OfferedLoadBps: load}
+			}
+			res, err := runOne(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -421,9 +399,9 @@ func TestOfferedLoadSaturates(t *testing.T) {
 }
 
 func TestBasicAccessConfig(t *testing.T) {
-	cfg := quickCfg(core.ORTSOCTS, 3, 0)
-	cfg.BasicAccess = true
-	res, err := RunSim(cfg)
+	sc := quickSc(core.ORTSOCTS, 3, 0)
+	sc.Ablations.BasicAccess = true
+	res, err := runOne(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,9 +417,9 @@ func TestBasicAccessConfig(t *testing.T) {
 }
 
 func TestLoadSweep(t *testing.T) {
-	base := quickCfg(core.ORTSOCTS, 3, 0)
-	base.Duration = 400 * des.Millisecond
-	cells, err := LoadSweep(base, []core.Scheme{core.ORTSOCTS}, []float64{50_000, 200_000}, 2)
+	base := quickSc(core.ORTSOCTS, 3, 0)
+	base.Duration = sim.Duration(400 * des.Millisecond)
+	cells, err := LoadSweep(sim.Runner{}, base, []core.Scheme{core.ORTSOCTS}, []float64{50_000, 200_000}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,10 +433,10 @@ func TestLoadSweep(t *testing.T) {
 	if !strings.Contains(sb.String(), "offered Kb/s") {
 		t.Errorf("load sweep output: %q", sb.String())
 	}
-	if _, err := LoadSweep(base, core.Schemes(), nil, 1); err == nil {
+	if _, err := LoadSweep(sim.Runner{}, base, core.Schemes(), nil, 1); err == nil {
 		t.Error("empty loads should be rejected")
 	}
-	if _, err := LoadSweep(base, core.Schemes(), []float64{-1}, 1); err == nil {
+	if _, err := LoadSweep(sim.Runner{}, base, core.Schemes(), []float64{-1}, 1); err == nil {
 		t.Error("negative load should be rejected")
 	}
 	if err := WriteLoadSweep(&strings.Builder{}, nil); err == nil {
@@ -476,8 +454,9 @@ func TestORTSDCTSSimulates(t *testing.T) {
 		t.Skip("short mode")
 	}
 	run := func(s core.Scheme) float64 {
-		cfg := SimConfig{Scheme: s, BeamwidthDeg: 30, N: 5, Seed: 70, Duration: des.Second}
-		b, err := RunBatch(cfg, 5)
+		sc := quickSc(s, 5, 30)
+		sc.Seed, sc.Duration = 70, sim.Duration(des.Second)
+		b, err := RunBatch(sim.Runner{}, sc, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,10 +473,9 @@ func TestORTSDCTSSimulates(t *testing.T) {
 }
 
 func TestMobilityRuns(t *testing.T) {
-	cfg := quickCfg(core.DRTSDCTS, 3, 30)
-	cfg.MaxSpeed = 0.2
-	cfg.RefreshInterval = 500 * des.Millisecond
-	res, err := RunSim(cfg)
+	sc := quickSc(core.DRTSDCTS, 3, 30)
+	sc.Mobility = sim.MobilitySpec{Kind: "waypoint", MaxSpeed: 0.2, RefreshInterval: sim.Duration(500 * des.Millisecond)}
+	res, err := runOne(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,11 +492,12 @@ func TestMobilityHurtsNarrowBeams(t *testing.T) {
 		t.Skip("short mode")
 	}
 	run := func(s core.Scheme, speed float64) float64 {
-		cfg := SimConfig{
-			Scheme: s, BeamwidthDeg: 30, N: 5, Seed: 80,
-			Duration: des.Second, MaxSpeed: speed, RefreshInterval: des.Second,
+		sc := quickSc(s, 5, 30)
+		sc.Seed, sc.Duration = 80, sim.Duration(des.Second)
+		if speed > 0 {
+			sc.Mobility = sim.MobilitySpec{Kind: "waypoint", MaxSpeed: speed, RefreshInterval: sim.Duration(des.Second)}
 		}
-		b, err := RunBatch(cfg, 5)
+		b, err := RunBatch(sim.Runner{}, sc, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -539,9 +518,9 @@ func TestMobilityHurtsNarrowBeams(t *testing.T) {
 }
 
 func TestMobilitySweep(t *testing.T) {
-	base := quickCfg(core.DRTSDCTS, 3, 30)
-	base.Duration = 300 * des.Millisecond
-	cells, err := MobilitySweep(base, []core.Scheme{core.DRTSDCTS}, []float64{0, 0.5}, 2)
+	base := quickSc(core.DRTSDCTS, 3, 30)
+	base.Duration = sim.Duration(300 * des.Millisecond)
+	cells, err := MobilitySweep(sim.Runner{}, base, []core.Scheme{core.DRTSDCTS}, []float64{0, 0.5}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,10 +534,10 @@ func TestMobilitySweep(t *testing.T) {
 	if !strings.Contains(sb.String(), "speed R/s") {
 		t.Errorf("mobility output: %q", sb.String())
 	}
-	if _, err := MobilitySweep(base, core.Schemes(), nil, 1); err == nil {
+	if _, err := MobilitySweep(sim.Runner{}, base, core.Schemes(), nil, 1); err == nil {
 		t.Error("empty speeds should be rejected")
 	}
-	if _, err := MobilitySweep(base, core.Schemes(), []float64{-1}, 1); err == nil {
+	if _, err := MobilitySweep(sim.Runner{}, base, core.Schemes(), []float64{-1}, 1); err == nil {
 		t.Error("negative speed should be rejected")
 	}
 	if err := WriteMobilitySweep(&strings.Builder{}, nil); err == nil {
@@ -570,10 +549,10 @@ func TestMobilitySweep(t *testing.T) {
 }
 
 func TestSampleDelays(t *testing.T) {
-	cfg := quickCfg(core.ORTSOCTS, 3, 0)
-	cfg.Duration = des.Second
-	cfg.SampleDelays = true
-	res, err := RunSim(cfg)
+	sc := quickSc(core.ORTSOCTS, 3, 0)
+	sc.Duration = sim.Duration(des.Second)
+	sc.SampleDelays = true
+	res, err := runOne(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,8 +570,8 @@ func TestSampleDelays(t *testing.T) {
 		t.Errorf("samples inconsistent with mean %v: p50=%v p99=%v", mean, p50, p99)
 	}
 	// Without the flag no samples appear.
-	cfg.SampleDelays = false
-	res2, err := RunSim(cfg)
+	sc.SampleDelays = false
+	res2, err := runOne(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -662,8 +641,10 @@ func TestSINRPreservesSchemeOrdering(t *testing.T) {
 		t.Skip("short mode")
 	}
 	run := func(s core.Scheme) float64 {
-		cfg := SimConfig{Scheme: s, BeamwidthDeg: 30, N: 8, Seed: 90, Duration: des.Second, SINR: true}
-		b, err := RunBatch(cfg, 4)
+		sc := quickSc(s, 8, 30)
+		sc.Seed, sc.Duration = 90, sim.Duration(des.Second)
+		sc.PHY.SINR = true
+		b, err := RunBatch(sim.Runner{}, sc, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -699,9 +680,9 @@ func TestFigureCharts(t *testing.T) {
 		t.Error("unknown N should fail")
 	}
 
-	base := quickCfg(core.ORTSOCTS, 0, 0)
-	base.Duration = 200 * des.Millisecond
-	cells, err := RunGrid(base, core.Schemes(), []int{3}, []float64{30, 150}, 2)
+	base := quickSc(core.ORTSOCTS, 0, 0)
+	base.Duration = sim.Duration(200 * des.Millisecond)
+	cells, err := RunGrid(sim.Runner{}, base, core.Schemes(), []int{3}, []float64{30, 150}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -759,8 +740,9 @@ func keys(m map[string]*memFile) []string {
 // strictly more simultaneous on-air time than omni-directional 802.11.
 func TestSpatialReuseFactor(t *testing.T) {
 	run := func(s core.Scheme) *SimResult {
-		cfg := SimConfig{Scheme: s, BeamwidthDeg: 30, N: 8, Seed: 44, Duration: des.Second}
-		res, err := RunSim(cfg)
+		sc := quickSc(s, 8, 30)
+		sc.Seed, sc.Duration = 44, sim.Duration(des.Second)
+		res, err := runOne(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -826,8 +808,8 @@ func TestModelVsSimAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	base := SimConfig{Seed: 30, Duration: des.Second}
-	rows, err := ModelVsSim(base, []int{8}, []float64{30, 150}, 4)
+	base := sim.Scenario{Seed: 30, Duration: sim.Duration(des.Second)}
+	rows, err := ModelVsSim(sim.Runner{}, base, []int{8}, []float64{30, 150}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -850,9 +832,9 @@ func TestModelVsSimAgreement(t *testing.T) {
 }
 
 func TestReuseStudy(t *testing.T) {
-	base := quickCfg(core.ORTSOCTS, 0, 0)
-	base.Duration = 300 * des.Millisecond
-	cells, err := ReuseStudy(base, []core.Scheme{core.ORTSOCTS, core.DRTSDCTS}, 5, []float64{30}, 2)
+	base := quickSc(core.ORTSOCTS, 0, 0)
+	base.Duration = sim.Duration(300 * des.Millisecond)
+	cells, err := ReuseStudy(sim.Runner{}, base, []core.Scheme{core.ORTSOCTS, core.DRTSDCTS}, 5, []float64{30}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -884,7 +866,7 @@ func TestReuseStudy(t *testing.T) {
 	if !strings.Contains(sb.String(), "reuse factor") {
 		t.Error("report header missing")
 	}
-	if _, err := ReuseStudy(base, core.Schemes(), 5, []float64{30}, 0); err == nil {
+	if _, err := ReuseStudy(sim.Runner{}, base, core.Schemes(), 5, []float64{30}, 0); err == nil {
 		t.Error("zero topologies should fail")
 	}
 	if err := WriteReuseStudy(&strings.Builder{}, nil); err == nil {
@@ -893,11 +875,11 @@ func TestReuseStudy(t *testing.T) {
 }
 
 func TestDelayCDF(t *testing.T) {
-	base := quickCfg(core.ORTSOCTS, 3, 0)
-	base.Duration = des.Second
+	base := quickSc(core.ORTSOCTS, 3, 0)
+	base.Duration = sim.Duration(des.Second)
 	schemes := []core.Scheme{core.ORTSOCTS, core.DRTSDCTS}
 	base.BeamwidthDeg = 90
-	rows, err := DelayCDF(base, schemes, []float64{50, 95, 99})
+	rows, err := DelayCDF(sim.Runner{}, base, schemes, []float64{50, 95, 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -918,7 +900,7 @@ func TestDelayCDF(t *testing.T) {
 	if !strings.Contains(sb.String(), "percentile") {
 		t.Error("CDF header missing")
 	}
-	if _, err := DelayCDF(base, schemes, nil); err == nil {
+	if _, err := DelayCDF(sim.Runner{}, base, schemes, nil); err == nil {
 		t.Error("empty percentiles should fail")
 	}
 	if err := WriteDelayCDF(&strings.Builder{}, nil, schemes); err == nil {
@@ -934,12 +916,11 @@ func TestAdaptiveRTSHelpsUnderMobility(t *testing.T) {
 		t.Skip("short mode")
 	}
 	run := func(adaptive des.Time) float64 {
-		cfg := SimConfig{
-			Scheme: core.DRTSDCTS, BeamwidthDeg: 30, N: 5, Seed: 80,
-			Duration: des.Second, MaxSpeed: 1.0, RefreshInterval: des.Second,
-			AdaptiveRTS: adaptive,
-		}
-		b, err := RunBatch(cfg, 5)
+		sc := quickSc(core.DRTSDCTS, 5, 30)
+		sc.Seed, sc.Duration = 80, sim.Duration(des.Second)
+		sc.Mobility = sim.MobilitySpec{Kind: "waypoint", MaxSpeed: 1.0, RefreshInterval: sim.Duration(des.Second)}
+		sc.Ablations.AdaptiveRTS = sim.Duration(adaptive)
+		b, err := RunBatch(sim.Runner{}, sc, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -969,9 +950,9 @@ func TestJSONWriters(t *testing.T) {
 		t.Errorf("fig5 JSON content: %v", decoded[0])
 	}
 
-	base := quickCfg(core.ORTSOCTS, 0, 0)
-	base.Duration = 200 * des.Millisecond
-	cells, err := RunGrid(base, []core.Scheme{core.ORTSOCTS}, []int{3}, []float64{30}, 1)
+	base := quickSc(core.ORTSOCTS, 0, 0)
+	base.Duration = sim.Duration(200 * des.Millisecond)
+	cells, err := RunGrid(sim.Runner{}, base, []core.Scheme{core.ORTSOCTS}, []int{3}, []float64{30}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1014,13 +995,13 @@ func TestJSONWriters(t *testing.T) {
 // every per-topology simulation owns its scheduler and seed, so repeated
 // batches must be bit-identical regardless of goroutine interleaving.
 func TestBatchParallelDeterminism(t *testing.T) {
-	cfg := quickCfg(core.DRTSOCTS, 3, 90)
-	cfg.Duration = 300 * des.Millisecond
-	a, err := RunBatch(cfg, 6)
+	sc := quickSc(core.DRTSOCTS, 3, 90)
+	sc.Duration = sim.Duration(300 * des.Millisecond)
+	a, err := RunBatch(sim.Runner{}, sc, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunBatch(cfg, 6)
+	b, err := RunBatch(sim.Runner{}, sc, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

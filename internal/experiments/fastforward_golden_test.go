@@ -31,8 +31,8 @@ import (
 )
 
 func TestKernelDeterminismGoldenFastForward(t *testing.T) {
-	for name, cfg := range goldenCases() {
-		if cfg.NAVOracle {
+	for name, sc := range goldenCases() {
+		if sc.PHY.NAVOracle {
 			// sim.Validate rejects fastforward+navOracle up front (the
 			// oracle interrupts countdowns mid-slot, so mac.New would
 			// silently fall back to slot-by-slot operation anyway); the
@@ -40,17 +40,18 @@ func TestKernelDeterminismGoldenFastForward(t *testing.T) {
 			continue
 		}
 		for _, tel := range []bool{false, true} {
-			cfg := cfg
-			cfg.FastForward = true
+			sc := sc
+			sc.FastForward = true
+			var opts sim.Options
 			sub := name
 			if tel {
-				cfg.TelemetryInterval = 10 * des.Millisecond
-				cfg.Telemetry = telemetry.Discard{}
+				sc.Telemetry.Interval = sim.Duration(10 * des.Millisecond)
+				opts.Telemetry = telemetry.Discard{}
 				sub += "_telemetry"
 			}
 			t.Run(sub, func(t *testing.T) {
 				t.Parallel()
-				res, err := RunSim(cfg)
+				res, err := sim.RunScenario(sc, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,42 +80,37 @@ func TestFastForwardDifferential(t *testing.T) {
 		i := i
 		t.Run(fmt.Sprintf("case%02d", i), func(t *testing.T) {
 			t.Parallel()
-			cfg := SimConfig{
-				Scheme:       schemes[i%len(schemes)],
-				BeamwidthDeg: []float64{30, 90, 150}[i%3],
-				N:            2 + i%4,
-				Seed:         int64(100 + 13*i),
-				Duration:     60 * des.Millisecond,
-			}
+			sc := gridScenario(sim.Scenario{Seed: int64(100 + 13*i), Duration: sim.Duration(60 * des.Millisecond)},
+				schemes[i%len(schemes)], 2+i%4, []float64{30, 90, 150}[i%3])
+			var opts sim.Options
 			switch i % 4 {
 			case 1:
-				cfg.OfferedLoadBps = 50_000 // sparse: long dead-air stretches
+				sc.Traffic = sim.TrafficSpec{Kind: "cbr", OfferedLoadBps: 50_000} // sparse: long dead-air stretches
 			case 2:
-				cfg.MaxSpeed = 0.5
-				cfg.RefreshInterval = 20 * des.Millisecond
-				cfg.OfferedLoadBps = 200_000
+				sc.Mobility = sim.MobilitySpec{Kind: "waypoint", MaxSpeed: 0.5, RefreshInterval: sim.Duration(20 * des.Millisecond)}
+				sc.Traffic = sim.TrafficSpec{Kind: "cbr", OfferedLoadBps: 200_000}
 			case 3:
-				cfg.SINR = true
-				cfg.BasicAccess = i%2 == 1
+				sc.PHY.SINR = true
+				sc.Ablations.BasicAccess = i%2 == 1
 			}
 			if i%5 == 0 {
-				cfg.DisableEIFS = true
+				sc.Ablations.DisableEIFS = true
 			}
 			if i%6 == 3 {
-				cfg.TelemetryInterval = 5 * des.Millisecond
-				cfg.Telemetry = telemetry.Discard{}
+				sc.Telemetry.Interval = sim.Duration(5 * des.Millisecond)
+				opts.Telemetry = telemetry.Discard{}
 			}
-			off, err := RunSim(cfg)
+			off, err := sim.RunScenario(sc, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.FastForward = true
-			on, err := RunSim(cfg)
+			sc.FastForward = true
+			on, err := sim.RunScenario(sc, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if gotOn, gotOff := canonicalJSON(t, on), canonicalJSON(t, off); !bytes.Equal(gotOn, gotOff) {
-				t.Errorf("fast-forward on/off diverged for %+v", cfg)
+				t.Errorf("fast-forward on/off diverged for %+v", sc)
 			}
 		})
 	}

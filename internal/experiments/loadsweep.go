@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // LoadCell is one point of an offered-load sweep: one scheme at one
@@ -18,8 +19,8 @@ type LoadCell struct {
 // LoadSweep runs the classic offered-load study the paper's saturation
 // analysis brackets: per-node CBR load swept from light to beyond
 // saturation, for each scheme. Base supplies N, beamwidth, seed and
-// duration.
-func LoadSweep(base SimConfig, schemes []core.Scheme, loadsBps []float64, topologies int) ([]LoadCell, error) {
+// duration; each cell runs CBR traffic at its load.
+func LoadSweep(r sim.Runner, base sim.Scenario, schemes []core.Scheme, loadsBps []float64, topologies int) ([]LoadCell, error) {
 	if len(loadsBps) == 0 {
 		return nil, fmt.Errorf("experiments: load sweep needs at least one load")
 	}
@@ -29,10 +30,11 @@ func LoadSweep(base SimConfig, schemes []core.Scheme, loadsBps []float64, topolo
 			return nil, fmt.Errorf("experiments: offered load must be positive, got %v", load)
 		}
 		for _, s := range schemes {
-			cfg := base
-			cfg.Scheme = s
-			cfg.OfferedLoadBps = load
-			batch, err := RunBatch(cfg, topologies)
+			sc := base
+			sc.Scheme = s.String()
+			sc.Traffic.Kind = "cbr"
+			sc.Traffic.OfferedLoadBps = load
+			batch, err := RunBatch(r, sc, topologies)
 			if err != nil {
 				return nil, fmt.Errorf("load sweep %v at %v b/s: %w", s, load, err)
 			}

@@ -25,13 +25,12 @@ import (
 )
 
 func TestKernelDeterminismGoldenParallelWorkers(t *testing.T) {
-	for name, cfg := range goldenCases() {
+	for name, sc := range goldenCases() {
 		for _, workers := range []int{1, 2, 4, 8} {
-			name, cfg, workers := name, cfg, workers
-			cfg.Workers = workers
+			name, sc, workers := name, sc, workers
 			t.Run(fmt.Sprintf("%s_w%d", name, workers), func(t *testing.T) {
 				t.Parallel()
-				res, err := RunSim(cfg)
+				res, err := sim.RunScenario(sc, sim.Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -83,13 +82,11 @@ func TestFastForwardSparseParallelWorkers(t *testing.T) {
 // runs are always sequential — partitioning excludes them — so the
 // export must be untouched by the knob).
 func TestTelemetryGoldenParallelWorkers(t *testing.T) {
-	cfg := goldenCases()["drtsdcts_n3_b90"]
-	cfg.TelemetryInterval = 10 * des.Millisecond
-	cfg.Workers = 4
+	sc := goldenCases()["drtsdcts_n3_b90"]
+	sc.Telemetry.Interval = sim.Duration(10 * des.Millisecond)
 	var buf bytes.Buffer
 	w := telemetry.NewWriter(&buf)
-	cfg.Telemetry = w
-	if _, err := RunSim(cfg); err != nil {
+	if _, err := sim.RunScenario(sc, sim.Options{Telemetry: w, Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {

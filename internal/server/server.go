@@ -17,10 +17,10 @@
 //
 // Telemetry streaming (`POST /v1/runs?telemetry=1`) deliberately
 // bypasses the result cache: the export is a per-record side effect a
-// cached Result cannot replay (the same rule that makes telemetry-
-// enabled runs uncacheable in internal/sim), so each streaming request
-// executes its own run and forwards records to the client as they are
-// sampled.
+// cached Result cannot replay (sim.Cacheable, the same rule that makes
+// telemetry-enabled runs uncacheable in internal/sim), so each
+// streaming request executes its own run and forwards records to the
+// client as they are sampled.
 //
 // Determinism scoping: this package is serving infrastructure, not
 // simulation code — it runs *around* simulations, never inside them —
@@ -177,14 +177,6 @@ func (s *Server) Stats() Stats {
 // errBusy is the admission-rejected sentinel mapped to 429.
 var errBusy = fmt.Errorf("server: execution queue is full")
 
-// cacheableScenario mirrors internal/sim's bypass rule: telemetry-
-// enabled scenarios are never served from or stored to the result
-// cache, because the export side effect cannot be replayed from a
-// cached Result.
-func cacheableScenario(sc sim.Scenario) bool {
-	return !sc.Telemetry.Enabled()
-}
-
 // runOnce executes sc on the bounded pool and returns the canonical
 // result bytes. It is the only path that consumes a worker slot for a
 // result request.
@@ -238,7 +230,7 @@ func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	cacheable := cacheableScenario(sc)
+	cacheable := sim.Cacheable(sc)
 	payload, source, shared, err := s.sf.do(key, func() ([]byte, string, error) {
 		if cacheable && s.cfg.Cache != nil {
 			if p, ok := s.cfg.Cache.Get(key); ok {

@@ -83,13 +83,19 @@ func DecodeResult(b []byte) (*Result, error) {
 	return &r, nil
 }
 
-// cacheable reports whether a run of sc under opts may be served from
-// or stored to the cache. Telemetry-enabled scenarios bypass the cache
-// entirely: the streaming export is a side effect a cached Result
-// cannot replay, exactly like a Tracer override.
+// Cacheable reports whether a run of sc may be served from or stored to
+// a result cache. Telemetry-enabled scenarios bypass the cache entirely:
+// the streaming export is a side effect a cached Result cannot replay,
+// exactly like a Tracer override. Every cache in front of a run (the
+// local one below and cmd/simd's) applies this rule.
+func Cacheable(sc Scenario) bool {
+	return !sc.Telemetry.Enabled()
+}
+
+// cacheable reports whether a run of sc under opts may use opts.Cache:
+// the scenario must be Cacheable and no runtime override may be attached.
 func cacheable(sc Scenario, opts Options) bool {
-	return opts.Cache != nil && opts.Topology == nil && opts.Tracer == nil &&
-		!sc.Telemetry.Enabled()
+	return opts.Cache != nil && opts.Topology == nil && opts.Tracer == nil && Cacheable(sc)
 }
 
 // runCached serves sc from the cache when possible, otherwise runs it

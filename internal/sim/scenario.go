@@ -10,9 +10,7 @@
 // are added by registering a component, not by editing assembly code, and
 // whole experiment grids are files, not flag soup. Determinism is the
 // contract — building and running the same Scenario twice produces
-// bit-identical results, and the assembly here reproduces the historical
-// experiments.RunSim byte-for-byte (pinned by the kernel-determinism
-// goldens).
+// bit-identical results (pinned by the kernel-determinism goldens).
 package sim
 
 import (
