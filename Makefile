@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build lint lint-budget lint-extra test bench bench-smoke bench-compare fmt-check scenarios sweep-cached telemetry-smoke fastforward-smoke parallel-smoke scale-smoke simd-smoke
+.PHONY: all build lint lint-budget lint-extra test bench bench-smoke bench-compare fuzz-smoke fmt-check scenarios sweep-cached telemetry-smoke fastforward-smoke parallel-smoke scale-smoke simd-smoke
 
 all: build lint test
 
@@ -55,7 +55,14 @@ bench:
 # One iteration each: catches compile errors and panics in the
 # benchmark harness without turning CI into a perf run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkScheduler$$|BenchmarkChannelBroadcast$$|BenchmarkScenarioCache|BenchmarkTelemetry' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkScheduler$$|BenchmarkSchedulerFixedDelay$$|BenchmarkChannelBroadcast$$|BenchmarkScenarioCache|BenchmarkTelemetry' -benchtime 1x -benchmem .
+
+# Ten seconds of coverage-guided fuzzing of the event kernel's firing
+# order against the container/heap reference (internal/des
+# heap_diff_test.go). The seed corpus is every differential trial, so a
+# short run already starts from the fixed-delay lane's edge cases.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzSchedulerOrder -fuzztime 10s ./internal/des
 
 # Regression gate against the committed baseline. A short time-based
 # benchtime keeps the gate fast while giving the nanosecond benches

@@ -329,6 +329,52 @@ func BenchmarkScheduler(b *testing.B) {
 	s.RunAll()
 }
 
+// BenchmarkSchedulerFixedDelay measures the kernel on the MAC's insert
+// mix: 40 tickers re-arming at one 20µs backoff slot, with about 7% of
+// inserts at other delays and about 1.4% of inserts canceled. One op is
+// one fired event.
+func BenchmarkSchedulerFixedDelay(b *testing.B) {
+	const (
+		tickers = 40
+		slot    = 20 * des.Microsecond
+	)
+	// One precomputed draw per tick: 0 re-arms only, a positive draw
+	// also schedules a timer that far ahead, -1 also cancels the latest
+	// such timer.
+	rng := rand.New(rand.NewSource(1))
+	draws := make([]des.Time, 4096)
+	for i := range draws {
+		switch r := rng.Intn(1000); {
+		case r < 75:
+			draws[i] = des.Time(1+rng.Intn(600)) * des.Microsecond
+		case r < 90:
+			draws[i] = -1
+		}
+	}
+	s := des.New(1)
+	noop := func() {}
+	var other des.Timer
+	k := 0
+	fns := make([]func(), tickers)
+	for i := range fns {
+		fns[i] = func() {
+			s.Schedule(slot, fns[i])
+			switch d := draws[k%len(draws)]; {
+			case d > 0:
+				other = s.Schedule(d, noop)
+			case d < 0:
+				s.Cancel(other)
+			}
+			k++
+		}
+		s.At(des.Time(i)*slot/tickers, fns[i])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
 // BenchmarkChannelBroadcast measures one omni transmission delivered to a
 // dense neighborhood.
 func BenchmarkChannelBroadcast(b *testing.B) {
@@ -408,16 +454,34 @@ func BenchmarkScenarioCache(b *testing.B) {
 	})
 }
 
+// simSecondEvents is the event count of one simulated second of the
+// paper's N=5 cell (DRTS-DCTS, θ=90°, seed 1). Any other count means the
+// simulated protocol changed, and ns/op would no longer compare.
+const simSecondEvents = 693_100
+
 // BenchmarkSimulationSecond measures the wall cost of one simulated
-// second of the paper's N=5 network.
+// second of the paper's N=5 network, with events/op and ns/event next to
+// ns/op so a change reads as either fewer events or cheaper ones.
 func BenchmarkSimulationSecond(b *testing.B) {
+	sc := benchSim(core.DRTSDCTS, 5, 90)
+	sc.Duration = sim.Duration(des.Second)
+	var events uint64
 	for i := 0; i < b.N; i++ {
-		sc := benchSim(core.DRTSDCTS, 5, 90)
-		sc.Duration = sim.Duration(des.Second)
-		if _, err := sim.RunScenario(sc, sim.Options{}); err != nil {
+		s, err := sim.Build(sc, sim.Options{})
+		if err != nil {
 			b.Fatal(err)
 		}
+		if _, err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+		n := s.Sched.Executed()
+		if n != simSecondEvents {
+			b.Fatalf("simulated second ran %d events, want %d", n, simSecondEvents)
+		}
+		events += n
 	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
 // BenchmarkTelemetryOff re-measures the standard simulated second with

@@ -27,14 +27,15 @@ import (
 	"time"
 )
 
-// hotPathBenchmarks is the default set: the event-kernel and channel
-// micro-benches, the end-to-end cost of one simulated second (dense and
+// hotPathBenchmarks is the default set: the event-kernel micro-benches
+// (mixed delays, and the MAC's fixed-delay mix), the channel
+// micro-bench, the end-to-end cost of one simulated second (dense and
 // sparse), the analytical Fig. 5 sweep, the result cache cold/warm
 // pair, the fast-forward on/off pair over the sparse scenario, the
 // partitioned parallel kernel (sequential vs 1-worker vs 4-worker), and
 // the 10⁴-node scale trio (Build allocations, mobility churn
 // incremental vs full rebuild, end-to-end event throughput).
-const hotPathBenchmarks = "^(BenchmarkScheduler|BenchmarkChannelBroadcast|BenchmarkSimulationSecond|BenchmarkSimulationSecondSparse|BenchmarkFig5|BenchmarkScenarioCache|BenchmarkTelemetryOff|BenchmarkTelemetryOn|BenchmarkFastForwardOn|BenchmarkFastForwardOff|BenchmarkParallelKernel|BenchmarkBuildLargeN|BenchmarkMobilityChurn|BenchmarkScaleSimulationSecond|BenchmarkServedScenario)$"
+const hotPathBenchmarks = "^(BenchmarkScheduler|BenchmarkSchedulerFixedDelay|BenchmarkChannelBroadcast|BenchmarkSimulationSecond|BenchmarkSimulationSecondSparse|BenchmarkFig5|BenchmarkScenarioCache|BenchmarkTelemetryOff|BenchmarkTelemetryOn|BenchmarkFastForwardOn|BenchmarkFastForwardOff|BenchmarkParallelKernel|BenchmarkBuildLargeN|BenchmarkMobilityChurn|BenchmarkScaleSimulationSecond|BenchmarkServedScenario)$"
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {

@@ -1,15 +1,27 @@
 // Package des is a deterministic discrete-event simulation kernel: a
-// monotonic virtual clock, a typed binary-heap event queue with stable
-// FIFO ordering among simultaneous events, cancellable timers, and a
-// seeded random stream. It is single-threaded by design — protocol models
-// run as callbacks on the scheduler goroutine, which makes runs exactly
-// reproducible for a given seed.
+// monotonic virtual clock, an event queue with stable FIFO ordering among
+// simultaneous events, cancellable timers, and a seeded random stream. It
+// is single-threaded by design — protocol models run as callbacks on the
+// scheduler goroutine, which makes runs exactly reproducible for a given
+// seed.
 //
 // The event queue is built for the MAC workload: millions of schedules
-// per simulated second, most of them canceled before they fire. Timers
-// are recycled through a free list, the heap stores typed pointers (no
-// interface boxing), and cancellation removes the entry immediately via
-// its heap index — so steady-state scheduling performs no allocation and
+// per simulated second, most of them canceled before they fire, and most
+// of the rest one backoff slot long. It has two parts ordered by the same
+// (due time, scheduling sequence) key:
+//
+//   - a fixed-delay FIFO lane. The first insert that finds the lane
+//     empty claims its delay; every later insert with exactly that delay
+//     is appended. The clock never runs backwards and the sequence
+//     number strictly increases, so appends arrive already sorted and
+//     the lane needs no sifting.
+//   - a typed binary min-heap holding every other insert.
+//
+// The scheduler fires whichever of the lane head and the heap root is
+// smaller, so the firing order is exactly that of a single heap. Timers
+// are recycled through a free list, both parts store typed pointers (no
+// interface boxing), and cancellation unlinks the entry immediately via
+// its index — so steady-state scheduling performs no allocation and
 // canceled events leave no garbage behind. Timer handles are small
 // generation-checked values: a handle retained after its timer fired (or
 // was canceled and recycled) safely reports inactive instead of aliasing
@@ -67,8 +79,10 @@ type timer struct {
 	fn    func() // exactly one of fn/ev is set
 	ev    Event
 	gen   uint32 // bumped on recycle; stale handles mismatch
-	index int32  // position in the heap array
+	index int32  // position in the heap array, or in the lane when inLane
 	inert bool   // classified inert at scheduling time (see AtInert)
+	// inLane marks an entry queued in the fixed-delay lane, not the heap.
+	inLane bool
 }
 
 // Timer is a cancellable handle for a scheduled event. The zero value is
@@ -97,13 +111,20 @@ func (t Timer) Active() bool {
 
 // Scheduler owns the virtual clock and the pending-event queue.
 type Scheduler struct {
-	now     Time
-	heap    []*timer
-	free    []*timer
-	seq     uint64
-	rng     *rand.Rand
-	count   uint64 // events executed
-	activeN int    // pending events NOT classified inert
+	now  Time
+	heap []*timer
+	// lane[laneHead:] holds the timers due laneD after their insertion,
+	// in (at, seq) order; canceled entries leave a nil slot behind. When
+	// laneLive > 0, lane[laneHead] is the live lane head.
+	lane     []*timer
+	laneHead int
+	laneLive int
+	laneD    Time
+	free     []*timer
+	seq      uint64
+	rng      *rand.Rand
+	count    uint64 // events executed
+	activeN  int    // pending events NOT classified inert
 }
 
 // New returns a Scheduler whose random stream is seeded with seed.
@@ -129,7 +150,7 @@ func (s *Scheduler) Executed() uint64 {
 // Pending returns the number of events still queued. Canceled events are
 // removed eagerly and never count.
 func (s *Scheduler) Pending() int {
-	return len(s.heap)
+	return len(s.heap) + s.laneLive
 }
 
 // ActivePending returns the number of pending events that were NOT
@@ -169,11 +190,15 @@ func (s *Scheduler) recycle(tm *timer) {
 		s.activeN--
 	}
 	tm.inert = false
+	tm.inLane = false
 	tm.index = -1
 	s.free = append(s.free, tm)
 }
 
-// insert enqueues a prepared timer and returns its handle.
+// insert enqueues a prepared timer and returns its handle. An insert
+// whose delay matches the lane's goes to the lane, and an insert that
+// finds the lane empty claims the lane for its own delay; everything
+// else goes to the heap.
 //
 //desalint:hotpath
 func (s *Scheduler) insert(tm *timer, at Time) Timer {
@@ -183,12 +208,22 @@ func (s *Scheduler) insert(tm *timer, at Time) Timer {
 	s.seq++
 	tm.at = at
 	tm.seq = s.seq
-	tm.index = int32(len(s.heap))
 	if !tm.inert {
 		s.activeN++
 	}
-	s.heap = append(s.heap, tm)
-	s.siftUp(len(s.heap) - 1)
+	if s.laneLive == 0 {
+		s.laneD = at - s.now
+	}
+	if at-s.now == s.laneD {
+		tm.inLane = true
+		tm.index = int32(len(s.lane))
+		s.lane = append(s.lane, tm)
+		s.laneLive++
+	} else {
+		tm.index = int32(len(s.heap))
+		s.heap = append(s.heap, tm)
+		s.siftUp(len(s.heap) - 1)
+	}
 	return Timer{tm: tm, gen: tm.gen, at: at}
 }
 
@@ -274,7 +309,7 @@ func (s *Scheduler) ScheduleInert(d Time, fn func()) Timer {
 // cancellation took effect (false when the timer already fired, was
 // already canceled, or is the zero handle). The queue entry is unlinked
 // immediately — heavy cancellation (the MAC's normal operation) leaves no
-// garbage in the heap.
+// garbage in the queue.
 //
 //desalint:hotpath
 func (s *Scheduler) Cancel(t Timer) bool {
@@ -282,19 +317,59 @@ func (s *Scheduler) Cancel(t Timer) bool {
 	if tm == nil || tm.gen != t.gen {
 		return false
 	}
-	s.remove(int(tm.index))
+	if tm.inLane {
+		s.lane[tm.index] = nil
+		s.laneLive--
+		if int(tm.index) == s.laneHead {
+			s.advanceLane()
+		}
+	} else {
+		s.remove(int(tm.index))
+	}
 	s.recycle(tm)
 	return true
+}
+
+// next returns the earliest pending timer, or nil when none is queued.
+//
+//desalint:hotpath
+func (s *Scheduler) next() *timer {
+	if s.laneLive == 0 {
+		if len(s.heap) == 0 {
+			return nil
+		}
+		return s.heap[0]
+	}
+	tm := s.lane[s.laneHead]
+	if len(s.heap) > 0 && s.less(s.heap[0], tm) {
+		return s.heap[0]
+	}
+	return tm
 }
 
 // Step executes the next pending event and reports whether one ran.
 //
 //desalint:hotpath
 func (s *Scheduler) Step() bool {
-	if len(s.heap) == 0 {
+	tm := s.next()
+	if tm == nil {
 		return false
 	}
-	tm := s.popMin()
+	s.fire(tm)
+	return true
+}
+
+// fire dequeues tm, which next just returned, and runs it.
+//
+//desalint:hotpath
+func (s *Scheduler) fire(tm *timer) {
+	if tm.inLane {
+		s.lane[s.laneHead] = nil
+		s.laneLive--
+		s.advanceLane()
+	} else {
+		s.popMin()
+	}
 	s.now = tm.at
 	s.count++
 	fn, ev := tm.fn, tm.ev
@@ -307,7 +382,6 @@ func (s *Scheduler) Step() bool {
 	} else {
 		ev.Fire()
 	}
-	return true
 }
 
 // Run executes events until the clock would pass `until` or the queue
@@ -317,8 +391,8 @@ func (s *Scheduler) Step() bool {
 //desalint:hotpath
 func (s *Scheduler) Run(until Time) uint64 {
 	start := s.count
-	for len(s.heap) > 0 && s.heap[0].at <= until {
-		s.Step()
+	for tm := s.next(); tm != nil && tm.at <= until; tm = s.next() {
+		s.fire(tm)
 	}
 	if s.now < until {
 		s.now = until
@@ -332,10 +406,11 @@ func (s *Scheduler) Run(until Time) uint64 {
 //
 //desalint:hotpath
 func (s *Scheduler) NextAt() (Time, bool) {
-	if len(s.heap) == 0 {
+	tm := s.next()
+	if tm == nil {
 		return 0, false
 	}
-	return s.heap[0].at, true
+	return tm.at, true
 }
 
 // RunBefore executes events strictly earlier than horizon and returns
@@ -346,8 +421,8 @@ func (s *Scheduler) NextAt() (Time, bool) {
 //desalint:hotpath
 func (s *Scheduler) RunBefore(horizon Time) uint64 {
 	start := s.count
-	for len(s.heap) > 0 && s.heap[0].at < horizon {
-		s.Step()
+	for tm := s.next(); tm != nil && tm.at < horizon; tm = s.next() {
+		s.fire(tm)
 	}
 	return s.count - start
 }
@@ -366,12 +441,43 @@ func (s *Scheduler) AdvanceTo(t Time) {
 // many ran. Useful for draining short test scenarios.
 func (s *Scheduler) RunAll() uint64 {
 	start := s.count
-	for s.Step() {
+	for tm := s.next(); tm != nil; tm = s.next() {
+		s.fire(tm)
 	}
 	return s.count - start
 }
 
-// The queue is a hand-rolled binary min-heap over (at, seq) — strict
+// advanceLane moves the lane head past nil slots after the head entry
+// fired or was canceled. An empty lane rewinds to the start of its
+// array, and once the head passes half the array's length the live tail
+// is moved down, so the lane's memory stays proportional to the timers
+// it holds.
+//
+//desalint:hotpath
+func (s *Scheduler) advanceLane() {
+	if s.laneLive == 0 {
+		// Every slot from the head on is nil already.
+		s.lane = s.lane[:0]
+		s.laneHead = 0
+		return
+	}
+	for s.lane[s.laneHead] == nil {
+		s.laneHead++
+	}
+	if 2*s.laneHead >= len(s.lane) {
+		kept := copy(s.lane, s.lane[s.laneHead:])
+		clear(s.lane[kept:])
+		s.lane = s.lane[:kept]
+		s.laneHead = 0
+		for i, tm := range s.lane {
+			if tm != nil {
+				tm.index = int32(i)
+			}
+		}
+	}
+}
+
+// The heap is a hand-rolled binary min-heap over (at, seq) — strict
 // arrival order with FIFO tie-breaking. container/heap would box every
 // *timer through an interface on each Push/Pop; inlining the sifts keeps
 // the hot path monomorphic and allocation-free.
@@ -427,12 +533,11 @@ func (s *Scheduler) siftDown(i int) {
 	tm.index = int32(i)
 }
 
-// popMin removes and returns the earliest timer.
+// popMin removes the heap's earliest timer.
 //
 //desalint:hotpath
-func (s *Scheduler) popMin() *timer {
+func (s *Scheduler) popMin() {
 	h := s.heap
-	tm := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
 	h[n] = nil
@@ -440,7 +545,6 @@ func (s *Scheduler) popMin() *timer {
 	if n > 0 {
 		s.siftDown(0)
 	}
-	return tm
 }
 
 // remove unlinks the timer at heap position i.

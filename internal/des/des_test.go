@@ -394,6 +394,79 @@ func TestCancelStorm(t *testing.T) {
 	}
 }
 
+// TestFixedDelayLaneBoundedMemory runs a steady population of 40
+// fixed-delay tickers for 10⁶ ticks — every 50th tick also cancels and
+// re-arms another ticker — and checks that the lane's backing array stays
+// proportional to the live timers and references nothing but them.
+func TestFixedDelayLaneBoundedMemory(t *testing.T) {
+	const (
+		tickers = 40
+		slot    = 20
+		ticks   = 1_000_000
+	)
+	s := New(1)
+	handles := make([]Timer, tickers)
+	fns := make([]func(), tickers)
+	n := 0
+	for i := range fns {
+		fns[i] = func() {
+			n++
+			handles[i] = s.Schedule(slot, fns[i])
+			if n%50 == 0 {
+				j := (i + 1 + n/50%(tickers-1)) % tickers
+				if !s.Cancel(handles[j]) {
+					t.Fatalf("tick %d: cancel of live ticker %d failed", n, j)
+				}
+				handles[j] = s.Schedule(slot, fns[j])
+			}
+		}
+		// Staggered starts: the first delays differ, so the lane is
+		// claimed for 0 and then re-claimed for the slot.
+		handles[i] = s.At(Time(i), fns[i])
+	}
+
+	// reachable checks that every pointer in the lane's backing array is
+	// the pending timer of some ticker, at its own index.
+	reachable := func() {
+		live := make(map[*timer]bool, tickers)
+		for _, h := range handles {
+			if !h.Active() {
+				t.Fatalf("tick %d: ticker handle inactive", n)
+			}
+			live[h.tm] = true
+		}
+		held := 0
+		for i, tm := range s.lane[:cap(s.lane)] {
+			if tm == nil {
+				continue
+			}
+			if !live[tm] || !tm.inLane || int(tm.index) != i || i < s.laneHead || i >= len(s.lane) {
+				t.Fatalf("tick %d: lane slot %d holds a timer that is not pending there", n, i)
+			}
+			held++
+		}
+		if held != s.laneLive {
+			t.Fatalf("tick %d: lane holds %d timers, laneLive %d", n, held, s.laneLive)
+		}
+	}
+
+	for n < ticks {
+		if !s.Step() {
+			t.Fatal("queue drained")
+		}
+		if live := s.Pending(); live != tickers || cap(s.lane) > 2*live+64 {
+			t.Fatalf("tick %d: %d pending, lane cap %d; want %d pending, cap <= %d", n, live, cap(s.lane), tickers, 2*live+64)
+		}
+		if n%4096 == 0 {
+			reachable()
+		}
+	}
+	reachable()
+	if s.laneD != slot || s.laneLive != tickers {
+		t.Fatalf("lane holds %d timers at delay %d, want all %d at %d", s.laneLive, s.laneD, tickers, slot)
+	}
+}
+
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	s := New(1)
 	if s.Step() {

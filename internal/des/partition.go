@@ -93,6 +93,11 @@ func (g *Group) Run(until Time, workers int) uint64 {
 		}
 		g.runRounds(until, workers, 0)
 		g.done.Store(true)
+		// Every worker has arrived for the last round and is waiting for
+		// the next phase, so the count can be reset before the exit phase
+		// is published — otherwise an acknowledgement that lands before
+		// the first load below would overshoot the target for good.
+		g.arrived.Store(0)
 		g.phase.Add(1) // release workers into the exit check
 		// Wait for every worker to acknowledge the exit phase so no
 		// goroutine outlives the run (the caller may immediately reuse

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 )
 
 func TestRunBeforeStrictBound(t *testing.T) {
@@ -207,5 +208,31 @@ func TestGroupInclusiveUntil(t *testing.T) {
 	}
 	if s.Now() != 50 {
 		t.Fatalf("clock %v, want 50", s.Now())
+	}
+}
+
+// TestGroupExitBarrier runs many one-round groups on two workers. The
+// exit barrier must wait for the worker's exit acknowledgement however
+// the two goroutines interleave: a worker that acknowledges before the
+// coordinator first looks must not leave the coordinator spinning.
+func TestGroupExitBarrier(t *testing.T) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20000; i++ {
+			g := &Group{Parts: []*Scheduler{New(1), New(2)}, Lookahead: 1}
+			for _, p := range g.Parts {
+				p.At(0, func() {})
+			}
+			if n := g.Run(0, 2); n != 2 {
+				t.Errorf("run %d executed %d events, want 2", i, n)
+				return
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("Group.Run did not return: the exit barrier missed the worker's acknowledgement")
 	}
 }
