@@ -1,6 +1,9 @@
 # Local developer workflow. CI reuses these targets so the two never
-# drift: .github/workflows/ci.yml calls `make lint`, `make test` and
-# `make bench-smoke` rather than restating the commands.
+# drift: .github/workflows/ci.yml calls only `make` targets (build,
+# lint-budget, lint-extra, test, scenarios, cache-smoke,
+# telemetry-smoke, fastforward-smoke, parallel-smoke, scale-smoke,
+# simd-smoke, fuzz-smoke, bench-smoke, bench-compare) rather than
+# restating the commands.
 
 GO ?= go
 
@@ -10,7 +13,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build lint lint-budget lint-extra test bench bench-smoke bench-compare fuzz-smoke fmt-check scenarios sweep-cached telemetry-smoke fastforward-smoke parallel-smoke scale-smoke simd-smoke
+.PHONY: all build lint lint-budget lint-extra test bench bench-smoke bench-compare fuzz-smoke fmt-check scenarios sweep-cached cache-smoke telemetry-smoke fastforward-smoke parallel-smoke scale-smoke simd-smoke
 
 all: build lint test
 
@@ -80,6 +83,12 @@ sweep-cached:
 	rm -rf .sweep-cache
 	$(GO) run ./cmd/experiments -run fig6 -topologies 5 -duration 1s -cache .sweep-cache -cache-stats
 	$(GO) run ./cmd/experiments -run fig6 -topologies 5 -duration 1s -cache .sweep-cache -cache-stats
+
+# Cache round trip under the race detector: the content-addressed store
+# (write, read back, corrupt-entry recovery) and the sim-level cached
+# runs, keyed by ScenarioKey and the engine fingerprint.
+cache-smoke:
+	$(GO) test -race -run 'Cache|TestRoundTrip|TestCorrupt|TestEngineFingerprint|TestScenarioKey' ./internal/cache/ ./internal/sim/
 
 # Telemetry round trip on the canonical trajectory scenario: two exports
 # of the same run must be byte-identical (the determinism contract), and

@@ -36,6 +36,16 @@ import (
 	"repro/internal/server"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so a connection that trickles them in cannot hold a server
+// goroutine open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer wraps the service handler in the daemon's http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 func main() {
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
@@ -85,7 +95,7 @@ func run(args []string, stdout io.Writer, sigs <-chan os.Signal) error {
 	// (make simd-smoke greps it to learn the port picked for :0).
 	fmt.Fprintf(stdout, "simd: listening on %s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 

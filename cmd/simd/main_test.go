@@ -134,3 +134,12 @@ func TestDaemonBadFlags(t *testing.T) {
 		t.Error("unknown flag: want error")
 	}
 }
+
+// TestHTTPServerBoundsHeaderReads pins the slow-header guard: a zero
+// ReadHeaderTimeout would let a client that never finishes its headers
+// hold a connection open forever.
+func TestHTTPServerBoundsHeaderReads(t *testing.T) {
+	if got := newHTTPServer(http.NotFoundHandler()).ReadHeaderTimeout; got <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", got)
+	}
+}

@@ -13,7 +13,6 @@
 package analysistest
 
 import (
-	"fmt"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -118,14 +117,4 @@ func checkExpectations(t *testing.T, pkg *framework.Package, diags []framework.D
 			t.Errorf("%s:%d: no diagnostic matching %q", w.file, w.line, w.raw)
 		}
 	}
-}
-
-// Describe prints the analyzer inventory of a suite (used by the
-// multichecker's usage text and sanity tests).
-func Describe(analyzers []*framework.Analyzer) string {
-	var b strings.Builder
-	for _, a := range analyzers {
-		fmt.Fprintf(&b, "  %-12s %s\n", a.Name, a.Doc)
-	}
-	return b.String()
 }

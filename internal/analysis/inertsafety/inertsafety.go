@@ -7,16 +7,15 @@
 // active-scheduled callback.
 //
 // The analyzer finds every scheduler call site (including dual-mode
-// wrappers like mac's scheduleIdle, which forward a callback parameter
-// to both an inert and an active scheduler method), resolves callbacks
-// through method values, function literals, and pre-bound struct fields
-// (n.fn = n.method), and intersects effect summaries from the desaflow
-// layer. Where the intersection is intentional — the write provably
-// cannot alter active-path behavior for a deeper reason than the
-// analyzer can see — the callback's doc comment carries
-// //desalint:inertsafe <reason>, and an annotation on a callback that
-// is never scheduled inert is itself reported so the escape hatch
-// cannot rot.
+// wrappers, which forward a callback parameter to both an inert and an
+// active scheduler method), resolves callbacks through method values,
+// function literals, and pre-bound struct fields (n.fn = n.method), and
+// intersects effect summaries from the desaflow layer. Where the
+// intersection is intentional — the write provably cannot alter
+// active-path behavior for a deeper reason than the analyzer can see —
+// the callback's doc comment carries //desalint:inertsafe <reason>, and
+// an annotation on a callback that is never scheduled inert is itself
+// reported so the escape hatch cannot rot.
 package inertsafety
 
 import (
@@ -301,7 +300,7 @@ func (c *checker) lvalueObject(e ast.Expr) types.Object {
 }
 
 // findWrappers detects functions that forward a func-typed parameter to
-// a direct scheduler call (mac's scheduleIdle/atIdle pattern), noting
+// a direct scheduler call (the inertfix fixture's scheduleIdle), noting
 // which scheduling kinds the parameter can reach.
 func (c *checker) findWrappers() {
 	for fn, fd := range c.decls {

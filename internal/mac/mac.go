@@ -100,14 +100,11 @@ type Config struct {
 	// from Ko et al.'s second scheme (discussed in the paper's related
 	// work): the RTS is sent directionally only while the destination's
 	// recorded location is fresher than this threshold, and falls back to
-	// omni-directional otherwise. Combine with PiggybackLocation so
-	// responses refresh the table.
+	// omni-directional otherwise. A positive value also attaches the
+	// sender's current position to every frame and lets receivers update
+	// their neighbor tables from it — the location service many
+	// directional MAC designs assume — so responses refresh the table.
 	AdaptiveRTSStaleness des.Time
-
-	// PiggybackLocation attaches the sender's current position to every
-	// frame and lets receivers update their neighbor tables from it —
-	// the location service many directional MAC designs assume.
-	PiggybackLocation bool
 
 	// Tracer, when non-nil, receives structured protocol events
 	// (transmissions, timeouts, backoff draws, ...). Nil disables
@@ -449,30 +446,6 @@ func (n *Node) eifs() des.Time {
 	return n.cfg.SIFS + n.radio.ChannelParams().Airtime(n.cfg.ACKBytes) + n.cfg.DIFS
 }
 
-// scheduleIdle schedules an idle-wait callback after delay d. In
-// fast-forward mode these timers are classified inert — their due
-// instants are fixed and firing them perturbs no other pending event —
-// so they never hold the kernel's active count above zero and block a
-// peer's bulk jump.
-//
-//desalint:hotpath
-func (n *Node) scheduleIdle(d des.Time, fn func()) des.Timer {
-	if n.cfg.FastForward {
-		return n.sched.ScheduleInert(d, fn)
-	}
-	return n.sched.Schedule(d, fn)
-}
-
-// atIdle is scheduleIdle for an absolute due time.
-//
-//desalint:hotpath
-func (n *Node) atIdle(t des.Time, fn func()) des.Timer {
-	if n.cfg.FastForward {
-		return n.sched.AtInert(t, fn)
-	}
-	return n.sched.At(t, fn)
-}
-
 // settleCountdown converts a live bulk countdown back into residual
 // backoff slots at the moment an interrupter arrives, reproducing the
 // per-slot decrement count exactly. boundaryCounts selects whether a
@@ -521,6 +494,12 @@ func (n *Node) cancelContention() {
 // Invoked on carrier-idle edges, NAV/hold expiry, transmit completion and
 // contention entry.
 //
+// Idle waits — NAV/hold expiry, DIFS/EIFS and backoff slots — are
+// scheduled inert in both modes: their due instants are fixed and firing
+// them perturbs no other pending event, so they never hold the kernel's
+// active count above zero and block a peer's bulk jump. The class does
+// not change (at, seq) order, so per-slot mode is unaffected.
+//
 //desalint:hotpath
 func (n *Node) resumeDeference() {
 	n.cancelContention()
@@ -536,14 +515,14 @@ func (n *Node) resumeDeference() {
 		wait = n.holdUntil
 	}
 	if wait > now {
-		n.navTimer = n.atIdle(wait, n.resumeDeferenceFn)
+		n.navTimer = n.sched.AtInert(wait, n.resumeDeferenceFn)
 		return
 	}
 	d := n.cfg.DIFS
 	if n.needEIFS && !n.cfg.DisableEIFS {
 		d = n.eifs()
 	}
-	n.difsTimer = n.scheduleIdle(d, n.difsElapsedFn)
+	n.difsTimer = n.sched.ScheduleInert(d, n.difsElapsedFn)
 }
 
 // difsElapsed runs when the medium stayed idle through DIFS/EIFS; the
@@ -579,7 +558,7 @@ func (n *Node) tickSlot() {
 		n.slotTimer = n.sched.ScheduleInert(des.Time(n.backoff-1)*n.cfg.Slot, n.jumpElapsedFn)
 		return
 	}
-	n.slotTimer = n.scheduleIdle(n.cfg.Slot, n.slotElapsedFn)
+	n.slotTimer = n.sched.ScheduleInert(n.cfg.Slot, n.slotElapsedFn)
 }
 
 // slotElapsed burns one backoff slot and re-checks the counter.
@@ -652,7 +631,7 @@ func (n *Node) sendDataDirect() {
 		return
 	}
 	f := phy.Frame{Type: phy.Data, Src: n.ID(), Dst: n.cur.Dst, Bytes: n.cur.Bytes, NAV: nav, Seq: n.cur.Seq}
-	if n.cfg.PiggybackLocation {
+	if n.cfg.AdaptiveRTSStaleness > 0 {
 		f.Payload = n.radio.Pos()
 	}
 	if _, err := n.radio.Transmit(f, mode); err != nil {
@@ -679,7 +658,7 @@ func (n *Node) sendRTS() {
 	}
 	n.seq++
 	f := phy.Frame{Type: phy.RTS, Src: n.ID(), Dst: n.cur.Dst, Bytes: n.cfg.RTSBytes, NAV: nav, Seq: n.seq}
-	if n.cfg.PiggybackLocation {
+	if n.cfg.AdaptiveRTSStaleness > 0 {
 		f.Payload = n.radio.Pos()
 	}
 	if _, err := n.radio.Transmit(f, mode); err != nil {
@@ -759,7 +738,7 @@ func (n *Node) fireResponse() {
 // respond transmits a SIFS response frame; on radio conflict the response
 // is silently abandoned (the peer's timeout recovers).
 func (n *Node) respond(f phy.Frame, ft phy.FrameType, dst phy.NodeID) bool {
-	if n.cfg.PiggybackLocation {
+	if n.cfg.AdaptiveRTSStaleness > 0 {
 		f.Payload = n.radio.Pos()
 	}
 	mode, err := n.mode(ft, dst)
@@ -781,7 +760,7 @@ func (n *Node) respond(f phy.Frame, ft phy.FrameType, dst phy.NodeID) bool {
 func (n *Node) OnFrame(f phy.Frame) {
 	n.needEIFS = false // correct reception terminates EIFS deference
 	now := n.sched.Now()
-	if n.cfg.PiggybackLocation {
+	if n.cfg.AdaptiveRTSStaleness > 0 {
 		if pos, ok := f.Payload.(geom.Point); ok {
 			n.table.LearnAt(f.Src, pos, now)
 		}

@@ -464,7 +464,6 @@ func TestAdaptiveRTSRecoversFromStaleBearing(t *testing.T) {
 		cfg := mac.DefaultConfig(core.DRTSDCTS, math.Pi/6) // narrow 30° beam
 		if adaptive {
 			cfg.AdaptiveRTSStaleness = 100 * des.Millisecond
-			cfg.PiggybackLocation = true
 		}
 		// The destination actually sits north; the sender's table says east.
 		senderTable := neighbor.NewTable(0, geom.Point{})
@@ -500,7 +499,6 @@ func TestAdaptiveRTSRecoversFromStaleBearing(t *testing.T) {
 func TestPiggybackKeepsDirectionalFresh(t *testing.T) {
 	cfg := mac.DefaultConfig(core.DRTSDCTS, math.Pi/6)
 	cfg.AdaptiveRTSStaleness = des.Second
-	cfg.PiggybackLocation = true
 	nw := simtest.Build(t, 9, cfg, []simtest.NodeSpec{
 		{Pos: geom.Point{X: 0, Y: 0}, Source: simtest.SaturatedBytes(1460, 1)},
 		{Pos: geom.Point{X: 0.5, Y: 0}, Source: simtest.Responder()},
@@ -513,6 +511,36 @@ func TestPiggybackKeepsDirectionalFresh(t *testing.T) {
 	}
 	if st.CTSTimeouts != 0 {
 		t.Errorf("no timeouts expected on a clean adaptive link: %+v", st)
+	}
+}
+
+// TestIdleWaitsNeverActiveInPerSlotMode: a lone contender's DIFS wait
+// and backoff slots are inert even with fast-forward off, so the kernel
+// reports no active work until the RTS goes on the air.
+func TestIdleWaitsNeverActiveInPerSlotMode(t *testing.T) {
+	slotsSeen := false
+	for seed := int64(1); seed <= 4; seed++ {
+		cfg := mac.DefaultConfig(core.ORTSOCTS, 0)
+		nw := simtest.Build(t, seed, cfg, []simtest.NodeSpec{
+			{Pos: geom.Point{X: 0, Y: 0}, Source: simtest.Packets(mac.Packet{Dst: 1, Bytes: 1460})},
+			{Pos: geom.Point{X: 0.5, Y: 0}, Source: simtest.Responder()},
+		})
+		nw.Start(0)
+		waits := 0
+		for nw.Stats(0).RTSSent == 0 {
+			if a, p := nw.Sched.ActivePending(), nw.Sched.Pending(); a != 0 || p == 0 {
+				t.Fatalf("seed %d, idle wait %d at %v: ActivePending=%d Pending=%d, want 0 and >0",
+					seed, waits, nw.Sched.Now(), a, p)
+			}
+			if !nw.Sched.Step() {
+				t.Fatalf("seed %d: queue drained before the RTS", seed)
+			}
+			waits++
+		}
+		slotsSeen = slotsSeen || waits > 1 // DIFS plus at least one slot
+	}
+	if !slotsSeen {
+		t.Error("no seed drew a nonzero backoff; the slot timers went unchecked")
 	}
 }
 

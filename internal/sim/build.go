@@ -304,7 +304,6 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 	}
 	if sc.Ablations.AdaptiveRTS > 0 {
 		macCfg.AdaptiveRTSStaleness = des.Time(sc.Ablations.AdaptiveRTS)
-		macCfg.PiggybackLocation = true
 	}
 	var delayRes *stats.Reservoir
 	if sc.SampleDelays {
