@@ -13,7 +13,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build lint lint-budget lint-extra test bench bench-smoke bench-compare fuzz-smoke fmt-check scenarios sweep-cached cache-smoke telemetry-smoke fastforward-smoke parallel-smoke scale-smoke simd-smoke
+.PHONY: all build lint lint-budget lint-extra test bench bench-smoke bench-compare profile fuzz-smoke fmt-check scenarios sweep-cached cache-smoke telemetry-smoke fastforward-smoke parallel-smoke scale-smoke simd-smoke
 
 all: build lint test
 
@@ -59,6 +59,27 @@ bench:
 # benchmark harness without turning CI into a perf run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkScheduler$$|BenchmarkSchedulerFixedDelay$$|BenchmarkChannelBroadcast$$|BenchmarkScenarioCache|BenchmarkTelemetry' -benchtime 1x -benchmem .
+
+# Per-package flat-CPU share of the dense paper cell and the 10⁴-node
+# field: a CPU profile of each benchmark, with `pprof -top` rows summed by
+# package (the import path before the function name; generic type
+# arguments are dropped). A perf run, so CI does not call it.
+profile:
+	@rm -rf .profile; mkdir -p .profile
+	@for b in SimulationSecond ScaleSimulationSecond; do \
+		$(GO) test -run '^$$' -bench "^Benchmark$$b$$" -benchtime 3s -cpuprofile .profile/$$b.prof -o .profile/repro.test . > /dev/null || exit 1; \
+		echo "== Benchmark$$b: flat CPU share by package"; \
+		$(GO) tool pprof -top -nodefraction=0 .profile/repro.test .profile/$$b.prof 2>/dev/null | awk ' \
+			/^ *flat +flat%/ { rows = 1; next } \
+			rows && NF >= 6 { \
+				name = $$6; sub(/\[.*/, "", name); \
+				n = split(name, parts, "/"); last = parts[n]; sub(/\..*/, "", last); \
+				pkg = (n > 1 ? substr(name, 1, length(name) - length(parts[n])) : "") last; \
+				pct = $$2; sub(/%/, "", pct); share[pkg] += pct \
+			} \
+			END { for (p in share) if (share[p] >= 0.05) printf "%6.1f%%  %s\n", share[p], p | "sort -rn" }'; \
+	done
+	@rm -rf .profile
 
 # Ten seconds of coverage-guided fuzzing of the event kernel's firing
 # order against the container/heap reference (internal/des
@@ -116,10 +137,11 @@ fastforward-smoke:
 # print byte-identical results (DESIGN.md §14). The scenario is large
 # and spread enough to split into multiple grid partitions, so this
 # exercises the cross-partition flush path, not just the sequential
-# fallback.
+# fallback. Workers are clamped to GOMAXPROCS, so the four-worker run
+# sets GOMAXPROCS=4 to keep four workers on a host with fewer cores.
 parallel-smoke:
 	$(GO) run ./cmd/netsim -scenario internal/sim/testdata/parallel-uniform.json -workers 1 > .par-w1.txt
-	$(GO) run ./cmd/netsim -scenario internal/sim/testdata/parallel-uniform.json -workers 4 > .par-w4.txt
+	GOMAXPROCS=4 $(GO) run ./cmd/netsim -scenario internal/sim/testdata/parallel-uniform.json -workers 4 > .par-w4.txt
 	cmp .par-w1.txt .par-w4.txt
 	rm -f .par-w1.txt .par-w4.txt
 

@@ -397,6 +397,44 @@ func BenchmarkChannelBroadcast(b *testing.B) {
 	}
 }
 
+// BenchmarkChannelBroadcastMoving is the mobile worst case for the PHY's
+// per-sender audience cache: one radio moves before every transmission,
+// so every frame finds the sender's audience stale. Radios are spread
+// uniformly over the sender's 3×3 cell block (some in range, some not),
+// and the frame is a 30° SINR transmission, so out-of-beam receivers
+// must not pay for path loss.
+func BenchmarkChannelBroadcastMoving(b *testing.B) {
+	sched := des.New(1)
+	params := phy.DefaultParams()
+	params.SINRThreshold = 10
+	params.PathLoss = 2
+	params.NoiseFloor = 0.001
+	ch, err := phy.NewChannel(sched, params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 96
+	rng := rand.New(rand.NewSource(7))
+	handlers := make([]discard, n+1)
+	tx := ch.AddRadio(geom.Point{X: 0.5, Y: 0.5}, &handlers[0])
+	radios := make([]*phy.Radio, n)
+	for i := range radios {
+		pos := geom.Point{X: rng.Float64()*3 - 1, Y: rng.Float64()*3 - 1}
+		radios[i] = ch.AddRadio(pos, &handlers[i+1])
+	}
+	mover := radios[n-1]
+	home := mover.Pos()
+	beam := phy.Directed(0, math.Pi/6)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mover.SetPos(geom.Point{X: home.X + float64(i&1)*1e-3, Y: home.Y})
+		if _, err := tx.Transmit(phy.Frame{Type: phy.Data, Bytes: 1460}, beam); err != nil {
+			b.Fatal(err)
+		}
+		sched.RunAll()
+	}
+}
+
 // BenchmarkAnalyticalThroughput measures one throughput evaluation (one
 // Simpson integral per call).
 func BenchmarkAnalyticalThroughput(b *testing.B) {
@@ -586,18 +624,20 @@ func parallelKernelBench(partition string) sim.Scenario {
 // (sim.TestPartitionedRunWorkerInvariance); seq differs from both in
 // event order (independent per-partition random streams), so seq vs k1
 // gauges the partitioning overhead, not a result-preserving rewrite.
-// The k4/k1 ratio only shows a speedup with real CPUs to spend: on a
-// single-core machine (GOMAXPROCS=1) the extra workers just take turns
-// at the barrier and k4 records pure synchronization overhead, while
-// seq≈k1 still pins that the windowed round loop itself is ~free.
+// des.Group clamps workers to GOMAXPROCS, so k4 runs min(4, GOMAXPROCS)
+// workers: on a single-core machine k4 equals k1, and the k4/k1 ratio
+// shows a speedup only with real CPUs to spend, while seq≈k1 pins that
+// the windowed round loop itself is ~free. events/op is identical for
+// k1 and k4.
 func BenchmarkParallelKernel(b *testing.B) {
 	run := func(b *testing.B, sc sim.Scenario, workers int) {
 		b.Helper()
+		var events uint64
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunScenario(sc, sim.Options{Workers: workers}); err != nil {
-				b.Fatal(err)
-			}
+			_, n := runCounted(b, sc, sim.Options{Workers: workers})
+			events += n
 		}
+		b.ReportMetric(float64(events)/float64(b.N), "events/op")
 	}
 	b.Run("seq", func(b *testing.B) { run(b, parallelKernelBench("off"), 1) })
 	b.Run("k1", func(b *testing.B) { run(b, parallelKernelBench(""), 1) })
@@ -683,14 +723,29 @@ func BenchmarkMobilityChurn(b *testing.B) {
 func BenchmarkScaleSimulationSecond(b *testing.B) {
 	sc := scaleBench()
 	var last float64
+	var events uint64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunScenario(sc, sim.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res, n := runCounted(b, sc, sim.Options{})
 		last = res.MeanThroughputBps()
+		events += n
 	}
 	b.ReportMetric(last/1000, "Kbps/node")
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
+
+// runCounted builds and runs one scenario and returns its result with
+// the kernel events it executed, summed over partitions.
+func runCounted(b *testing.B, sc sim.Scenario, opts sim.Options) (*sim.Result, uint64) {
+	b.Helper()
+	s, err := sim.Build(sc, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res, s.Events()
 }
 
 // discard is a no-op PHY handler for micro-benches.

@@ -31,6 +31,7 @@ package des
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
@@ -54,6 +55,15 @@ type Group struct {
 	phase    atomic.Int64
 	arrived  atomic.Int64
 	done     atomic.Bool
+
+	// When park is set, a wait that outlasts parkThreshold parks on wake
+	// instead of spinning on. sleepers counts goroutines parked or about
+	// to park, so the barrier's publishers only take mu when someone
+	// sleeps.
+	park     bool
+	sleepers atomic.Int32
+	mu       sync.Mutex
+	wake     *sync.Cond
 }
 
 // spinThreshold bounds busy-waiting at the round barrier before a
@@ -62,19 +72,28 @@ type Group struct {
 // channel per round would dominate the run.
 const spinThreshold = 256
 
+// parkThreshold bounds the whole wait, yields included, before a waiter
+// parks. Parking hands the waiter's thread back to the OS. Run enables
+// it only when its workers outnumber the CPUs the process may use: then
+// a waiter that kept its thread would hold off, for a whole OS time
+// slice, the worker the barrier waits for. With a CPU per worker the
+// wake-up latency would only slow the rounds down.
+const parkThreshold = spinThreshold + 64
+
 // Run executes every partition up to and including time until, using at
-// most workers goroutines (clamped to the partition count, minimum 1),
-// and returns the total number of events executed. Mirroring
-// Scheduler.Run, events exactly at until still run and every partition's
-// clock ends at until.
+// most workers goroutines (clamped to the partition count and to
+// GOMAXPROCS, minimum 1), and returns the total number of events
+// executed. Mirroring Scheduler.Run, events exactly at until still run
+// and every partition's clock ends at until.
 func (g *Group) Run(until Time, workers int) uint64 {
 	p := len(g.Parts)
 	if p == 0 {
 		return 0
 	}
-	if workers > p {
-		workers = p
-	}
+	// Results do not depend on the worker count, so the clamps only
+	// change speed: a worker beyond the core count has no thread to run
+	// on and just spins at the barrier.
+	workers = min(workers, p, runtime.GOMAXPROCS(0))
 	if workers < 1 {
 		workers = 1
 	}
@@ -85,6 +104,10 @@ func (g *Group) Run(until Time, workers int) uint64 {
 		g.phase.Store(0)
 		g.arrived.Store(0)
 		g.done.Store(false)
+		g.park = workers > runtime.NumCPU()
+		if g.wake == nil {
+			g.wake = sync.NewCond(&g.mu)
+		}
 		// Worker goroutines only execute partitions assigned to them by
 		// index; the barrier protocol (atomic phase/arrived) orders every
 		// cross-goroutine access to scheduler state.
@@ -99,10 +122,11 @@ func (g *Group) Run(until Time, workers int) uint64 {
 		// the first load below would overshoot the target for good.
 		g.arrived.Store(0)
 		g.phase.Add(1) // release workers into the exit check
+		g.wakeSleepers()
 		// Wait for every worker to acknowledge the exit phase so no
 		// goroutine outlives the run (the caller may immediately reuse
 		// or drop the schedulers).
-		g.awaitArrivals(workers - 1)
+		g.await(&g.arrived, int64(workers-1))
 	}
 	var total uint64
 	for _, part := range g.Parts {
@@ -130,8 +154,9 @@ func (g *Group) runRounds(until Time, workers, self int) {
 		}
 		g.arrived.Store(0)
 		g.phase.Add(1) // publish horizons; release workers into the round
+		g.wakeSleepers()
 		g.runOwned(self, workers)
-		g.awaitArrivals(workers - 1)
+		g.await(&g.arrived, int64(workers-1))
 	}
 }
 
@@ -144,13 +169,15 @@ func (g *Group) worker(w, stride int) {
 	round := int64(0)
 	for {
 		round++
-		g.awaitPhase(round)
+		g.await(&g.phase, round)
 		if g.done.Load() {
 			g.arrived.Add(1)
+			g.wakeSleepers()
 			return
 		}
 		g.runOwned(w, stride)
 		g.arrived.Add(1)
+		g.wakeSleepers()
 	}
 }
 
@@ -169,21 +196,40 @@ func (g *Group) runOwned(w, stride int) {
 	}
 }
 
-// awaitPhase spins until the coordinator publishes the given round.
-func (g *Group) awaitPhase(round int64) {
-	for spins := 0; g.phase.Load() != round; spins++ {
-		if spins > spinThreshold {
+// await waits until v holds want. It spins, yields the goroutine after
+// spinThreshold tries, and, when Run enabled parking, parks after
+// parkThreshold.
+func (g *Group) await(v *atomic.Int64, want int64) {
+	for spins := 0; v.Load() != want; spins++ {
+		switch {
+		case g.park && spins > parkThreshold:
+			g.sleep(v, want)
+		case spins > spinThreshold:
 			runtime.Gosched()
 		}
 	}
 }
 
-// awaitArrivals spins until n workers have finished the current round.
-func (g *Group) awaitArrivals(n int) {
-	for spins := 0; g.arrived.Load() != int64(n); spins++ {
-		if spins > spinThreshold {
-			runtime.Gosched()
-		}
+// sleep blocks until v holds want. A publisher changes the barrier state
+// before it loads sleepers, and sleep counts itself before it checks
+// v, so either the publisher sees the sleeper and broadcasts under
+// mu, or sleep sees the new state; no wakeup is lost.
+func (g *Group) sleep(v *atomic.Int64, want int64) {
+	g.sleepers.Add(1)
+	g.mu.Lock()
+	for v.Load() != want {
+		g.wake.Wait()
+	}
+	g.mu.Unlock()
+	g.sleepers.Add(-1)
+}
+
+// wakeSleepers wakes every parked waiter after a barrier state change.
+func (g *Group) wakeSleepers() {
+	if g.sleepers.Load() > 0 {
+		g.mu.Lock()
+		g.wake.Broadcast()
+		g.mu.Unlock()
 	}
 }
 

@@ -1,8 +1,10 @@
 package des
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -119,6 +121,7 @@ func TestGroupWorkerCountInvariance(t *testing.T) {
 	if len(want[0]) == 0 || len(want[1]) == 0 {
 		t.Fatal("workload executed nothing")
 	}
+	atLeastProcs(t, 8)
 	for _, workers := range []int{2, 4, 8} {
 		got := runPingPong(workers, 7, 7, 600)
 		if !reflect.DeepEqual(got, want) {
@@ -216,6 +219,7 @@ func TestGroupInclusiveUntil(t *testing.T) {
 // the two goroutines interleave: a worker that acknowledges before the
 // coordinator first looks must not leave the coordinator spinning.
 func TestGroupExitBarrier(t *testing.T) {
+	atLeastProcs(t, 2)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -234,5 +238,96 @@ func TestGroupExitBarrier(t *testing.T) {
 	case <-done:
 	case <-time.After(60 * time.Second):
 		t.Fatal("Group.Run did not return: the exit barrier missed the worker's acknowledgement")
+	}
+}
+
+// TestGroupParkedWaitersWake: a slow Flush keeps the workers waiting for
+// the next phase, and a slow partition keeps the coordinator waiting for
+// arrivals, both long enough to park. Every publish must wake the
+// parked side, or Run never returns.
+func TestGroupParkedWaitersWake(t *testing.T) {
+	workers := runtime.NumCPU() + 2 // more workers than CPUs: Run parks
+	atLeastProcs(t, workers)
+	g := &Group{Lookahead: 1}
+	for i := 0; i < 2*workers; i++ {
+		s := New(int64(i))
+		for at := Time(0); at < 40; at += 4 {
+			if i == 1 {
+				s.At(at, func() { time.Sleep(100 * time.Microsecond) })
+			} else {
+				s.At(at, func() {})
+			}
+		}
+		g.Parts = append(g.Parts, s)
+	}
+	g.Flush = func() { time.Sleep(100 * time.Microsecond) }
+	done := make(chan uint64)
+	go func() { done <- g.Run(40, workers) }()
+	select {
+	case n := <-done:
+		if want := uint64(len(g.Parts) * 10); n != want {
+			t.Fatalf("executed %d events, want %d", n, want)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("Group.Run did not return: a parked waiter missed its wakeup")
+	}
+}
+
+// atLeastProcs raises GOMAXPROCS to at least n until the test ends.
+// Group.Run clamps workers to GOMAXPROCS, and GOMAXPROCS may exceed the
+// core count, so a test that names a worker count runs that many on any
+// host.
+func atLeastProcs(t *testing.T, n int) {
+	t.Helper()
+	if prev := runtime.GOMAXPROCS(0); prev < n {
+		runtime.GOMAXPROCS(n)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
+// TestGroupWorkersClampedToGOMAXPROCS: a worker beyond the core count
+// only spins at the barrier, so Run clamps workers to GOMAXPROCS. Flush
+// runs on the coordinator while every worker goroutine waits, so the
+// count seen there is base plus the workers Run started (the coordinator
+// is worker 0 and runs on the caller's goroutine). With GOMAXPROCS
+// raised, Run starts every worker asked for.
+func TestGroupWorkersClampedToGOMAXPROCS(t *testing.T) {
+	const parts = 16
+	newGroup := func() *Group {
+		g := &Group{Lookahead: 1}
+		for i := 0; i < parts; i++ {
+			s := New(int64(i))
+			for at := Time(i % 7); at < 200; at += 7 {
+				s.At(at, func() {})
+			}
+			g.Parts = append(g.Parts, s)
+		}
+		return g
+	}
+	procs := runtime.GOMAXPROCS(0)
+	base := runtime.NumGoroutine()
+	peak := 0
+	g := newGroup()
+	g.Flush = func() { peak = max(peak, runtime.NumGoroutine()) }
+	g.Run(200, 64*procs)
+	if limit := base + procs - 1; peak > limit {
+		t.Fatalf("%d goroutines during Flush with GOMAXPROCS=%d, want at most %d (base %d)",
+			peak, procs, limit, base)
+	}
+
+	// Count worker frames rather than goroutines: a worker of an earlier
+	// run that is still exiting can only add to this count.
+	const want = 4
+	atLeastProcs(t, want)
+	buf := make([]byte, 1<<20)
+	seen := 0
+	g = newGroup()
+	g.Flush = func() {
+		n := runtime.Stack(buf, true)
+		seen = max(seen, bytes.Count(buf[:n], []byte("des.(*Group).worker(")))
+	}
+	g.Run(200, want)
+	if seen < want-1 {
+		t.Fatalf("%d worker goroutines during Flush with GOMAXPROCS >= %d, want %d", seen, want, want-1)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/des"
@@ -25,6 +26,7 @@ import (
 )
 
 func TestKernelDeterminismGoldenParallelWorkers(t *testing.T) {
+	atLeastProcs(t, 8)
 	for name, sc := range goldenCases() {
 		for _, workers := range []int{1, 2, 4, 8} {
 			name, sc, workers := name, sc, workers
@@ -70,6 +72,7 @@ func TestFastForwardSparseParallelWorkers(t *testing.T) {
 		return b
 	}
 	want := run(1)
+	atLeastProcs(t, 8)
 	for _, workers := range []int{2, 4, 8} {
 		if got := run(workers); !bytes.Equal(got, want) {
 			t.Errorf("workers=%d: fastforward-sparse Result diverged from workers=1", workers)
@@ -86,6 +89,7 @@ func TestTelemetryGoldenParallelWorkers(t *testing.T) {
 	sc.Telemetry.Interval = sim.Duration(10 * des.Millisecond)
 	var buf bytes.Buffer
 	w := telemetry.NewWriter(&buf)
+	atLeastProcs(t, 4)
 	if _, err := sim.RunScenario(sc, sim.Options{Telemetry: w, Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -98,5 +102,17 @@ func TestTelemetryGoldenParallelWorkers(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Error("telemetry export with workers=4 diverged from the golden")
+	}
+}
+
+// atLeastProcs raises GOMAXPROCS to at least n until the test ends.
+// des.Group.Run clamps workers to GOMAXPROCS, and GOMAXPROCS may exceed
+// the core count, so a test that names a worker count runs that many on
+// any host.
+func atLeastProcs(t *testing.T, n int) {
+	t.Helper()
+	if prev := runtime.GOMAXPROCS(0); prev < n {
+		runtime.GOMAXPROCS(n)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	}
 }

@@ -160,30 +160,27 @@ func (t *Table) Len() int { return len(t.ids) }
 // taken at face value. Tables are indexed by node ID.
 //
 // The assembly is allocation-lean for large N: Table structs come from
-// one backing array, neighbor queries reuse one scratch buffer, and the
-// per-table record slices are carved from two shared append-grown
-// backings (capped subslices, so a later Learn reallocates privately
-// instead of stomping a sibling).
+// one backing array, and the per-table ID and record slices are carved
+// from two shared backings sized exactly up front (capped subslices, so
+// a later Learn reallocates privately instead of stomping a sibling).
 func GroundTruth(ch *phy.Channel) []*Table {
 	n := ch.NumRadios()
 	tables := make([]*Table, n)
 	backing := make([]Table, n)
-	var idsBack []phy.NodeID
-	var recBack []record
-	var nbs []phy.NodeID
+	idsBack := make([]phy.NodeID, 0, ch.NeighborPairs())
+	recBack := make([]record, 0, cap(idsBack))
 	for i := 0; i < n; i++ {
 		id := phy.NodeID(i)
-		nbs = ch.NeighborsAppend(id, nbs[:0])
 		t := &backing[i]
 		t.self = id
 		t.selfPos = ch.Radio(id).Pos()
-		is, rs := len(idsBack), len(recBack)
-		for _, nb := range nbs {
-			idsBack = append(idsBack, nb)
+		start := len(idsBack)
+		idsBack = ch.NeighborsAppend(id, idsBack)
+		for _, nb := range idsBack[start:] {
 			recBack = append(recBack, record{pos: ch.Radio(nb).Pos(), static: true})
 		}
-		t.ids = idsBack[is:len(idsBack):len(idsBack)]
-		t.recs = recBack[rs:len(recBack):len(recBack)]
+		t.ids = idsBack[start:len(idsBack):len(idsBack)]
+		t.recs = recBack[start:len(recBack):len(recBack)]
 		tables[i] = t
 	}
 	return tables

@@ -15,9 +15,11 @@
 // group engine) routes the staged entries into destination lanes in
 // fixed (source lane, emission order) sequence, which pins the
 // destination queue's FIFO tie-breaking to a pure function of the
-// partition layout. The global spatial grid is shared by all lanes but
-// frozen read-only before the first window (no mobility under
-// partitioning).
+// partition layout. Every radio's cached audience is filled before the
+// first window and placement is then frozen (no mobility under
+// partitioning), so no lane refills an audience during a window. A
+// lane writes only the SINR path loss into the audiences of its own
+// senders.
 
 package phy
 
@@ -33,8 +35,6 @@ type lane struct {
 
 	txTime  map[FrameType]des.Time
 	txCount map[FrameType]int64
-
-	scratch []int32 // candidate IDs gathered per transmission
 
 	// Free lists for per-delivery objects. Signals and events always
 	// live in the RECEIVER's lane: they are mutated by receiver-side
@@ -73,8 +73,8 @@ func newLane(sched *des.Scheduler) *lane {
 // assigning each radio to the lane named by laneOf (indexed by NodeID).
 // scheds[0] must be the scheduler the channel was created with — lane 0
 // keeps the objects already pooled there, so a one-entry configuration
-// is the identity. The call finalizes the spatial grid: after it the
-// placement is frozen (SetPos would race against concurrent gathers).
+// is the identity. The call fills every radio's audience: after it the
+// placement is frozen (SetPos would race against concurrent reads).
 func (c *Channel) ConfigurePartitions(scheds []*des.Scheduler, laneOf []int32) error {
 	if len(scheds) == 0 {
 		return fmt.Errorf("phy: ConfigurePartitions needs at least one scheduler")
@@ -97,10 +97,12 @@ func (c *Channel) ConfigurePartitions(scheds []*des.Scheduler, laneOf []int32) e
 		c.radios[id].lane = lanes[li]
 	}
 	c.lanes = lanes
-	c.rebuildGrid()
-	// The rebuild leaves every bucket clean, so concurrent gathers only
-	// read the grid; freezing placement keeps it that way (SetPos now
+	// With every audience current, propagation in a window never
+	// refills one; freezing placement keeps it that way (SetPos now
 	// panics instead of racing).
+	for _, r := range c.radios {
+		c.audience(r)
+	}
 	c.frozen = true
 	return nil
 }

@@ -255,6 +255,22 @@ type Radio struct {
 	transmitting bool
 	active       []*signal // signals currently on the air at this radio
 	txDone       txDoneEvent
+
+	// aud is the cached audience: every other radio in range, in ID
+	// order. It is current while audGen equals the channel's gen.
+	aud    []audEntry
+	audGen uint64
+}
+
+// audEntry is one member of a radio's audience, with the per-pair values
+// propagate needs on every frame. Bearing and loss are pure functions of
+// the two positions, so reading them from the cache changes no result
+// bit. The loss is worked out by the first SINR frame that covers the
+// receiver, so a refill never pays for receivers outside every beam.
+type audEntry struct {
+	dst     *Radio
+	bearing float64 // src.pos.Bearing(dst.pos)
+	loss    float64 // pathLoss(src, dst); 0 until a SINR frame needs it
 }
 
 // ID returns the radio's node ID.
@@ -272,15 +288,17 @@ func (r *Radio) Pos() geom.Point { return r.pos }
 // unaffected by later movement (quasi-static per frame). The spatial
 // index absorbs the move incrementally: only the source and destination
 // cell buckets are touched, so mobility churn costs O(moved) radios, not
-// a full reindex (DESIGN.md §15). Moving a radio on a partitioned
-// channel panics — ConfigurePartitions freezes placement because the
-// grid is read concurrently by every lane.
+// a full reindex (DESIGN.md §15). The move also invalidates every cached
+// audience; each is refilled on its next read. Moving a radio on a
+// partitioned channel panics — ConfigurePartitions freezes placement
+// because the audiences are read concurrently by every lane.
 func (r *Radio) SetPos(p geom.Point) {
 	c := r.ch
 	if c.frozen {
 		panic("phy: SetPos on a partitioned channel (placement is frozen by ConfigurePartitions)")
 	}
 	r.pos = p
+	c.gen++
 	if c.gridDirty || c.fullRebuild {
 		// No valid cell handles to migrate between; fall back to the
 		// all-or-nothing rebuild on the next gather.
@@ -424,14 +442,15 @@ func (r *Radio) signalEnd(sig *signal) {
 
 // Channel connects radios on a shared single-frequency medium.
 //
-// Delivery uses a uniform spatial grid with cell size equal to the
-// transmission range: every radio a transmission can reach lies in the
-// sender's cell or one of its eight neighbors, so propagation visits a
-// handful of candidates instead of scanning the whole network. The grid
-// is built lazily after AddRadio; once built, SetPos migrates the moved
-// radio between its source and destination cell buckets in place, so a
-// burst of mobility updates costs O(moved) bucket edits, not a reindex
-// of every radio (DESIGN.md §15).
+// Delivery walks the sender's cached audience (DESIGN.md §7.2): the
+// radios in range with their bearings, worked out once per placement
+// rather than on every frame. Audiences are filled from a uniform
+// spatial grid with cell size equal to the transmission range: every
+// radio a transmission can reach lies in the sender's cell or one of its
+// eight neighbors. The grid is built lazily after AddRadio; once built,
+// SetPos migrates the moved radio between its source and destination
+// cell buckets in place, so a burst of mobility updates costs O(moved)
+// bucket edits, not a reindex of every radio (DESIGN.md §15).
 type Channel struct {
 	sched  *des.Scheduler
 	params Params
@@ -444,21 +463,26 @@ type Channel struct {
 	metrics Metrics
 
 	// Spatial index: cell -> slot in buckets; buckets hold radio IDs in
-	// ascending order (deterministic delivery order). Moves migrate a
-	// radio between its source and destination buckets (swap-remove plus
-	// append); a touched bucket whose internal order broke is flagged in
-	// bucketDirty and re-sorted lazily by the next gather that reads it.
-	// Bucket storage is reused across rebuilds and migrations; emptied
-	// buckets park their slots on freeSlots.
+	// no particular order (audience fills sort what they gather). Moves
+	// migrate a radio between its source and destination buckets
+	// (swap-remove plus append). Bucket storage is reused across rebuilds
+	// and migrations; emptied buckets park their slots on freeSlots.
 	cells       map[cellKey]int
 	buckets     [][]int32
-	bucketDirty []bool
 	freeSlots   []int
 	usedBuckets int
 	gridDirty   bool
 	fullRebuild bool
-	// frozen marks a partitioned channel: the grid is read concurrently
-	// by every lane, so radio placement must not change
+	scratch     []int32 // candidate IDs gathered per audience fill
+
+	// Audience cache: gen counts placement changes (AddRadio, AddRadios,
+	// SetPos), and a radio's audience is current iff its audGen equals
+	// gen. audReset marks radios added since the last bulk fill, so the
+	// next read refills every audience from one backing array.
+	gen      uint64
+	audReset bool
+	// frozen marks a partitioned channel: the audiences are read
+	// concurrently by every lane, so radio placement must not change
 	// (ConfigurePartitions sets it; SetPos panics).
 	frozen bool
 }
@@ -475,12 +499,11 @@ func (c *Channel) cellOf(p geom.Point) cellKey {
 }
 
 // rebuildGrid reindexes every radio and refreshes the cell handles.
-// Buckets fill in radio-ID order, so each stays sorted without an
-// explicit sort. Backing arrays are reused, except that a bucket whose
-// occupancy fell below 25% of its capacity is reallocated tight and
-// slots past the used range are released — otherwise bucket storage
-// grows to the largest-ever occupancy and stays there, which is
-// permanent ballast at large N.
+// Backing arrays are reused, except that a bucket whose occupancy fell
+// below 25% of its capacity is reallocated tight and slots past the used
+// range are released — otherwise bucket storage grows to the
+// largest-ever occupancy and stays there, which is permanent ballast at
+// large N.
 func (c *Channel) rebuildGrid() {
 	for i := 0; i < c.usedBuckets; i++ {
 		c.buckets[i] = c.buckets[i][:0]
@@ -514,47 +537,26 @@ func (c *Channel) rebuildGrid() {
 	for i := c.usedBuckets; i < len(c.buckets); i++ {
 		c.buckets[i] = nil
 	}
-	if cap(c.bucketDirty) < len(c.buckets) {
-		c.bucketDirty = make([]bool, len(c.buckets))
-	} else {
-		c.bucketDirty = c.bucketDirty[:len(c.buckets)]
-		clear(c.bucketDirty)
-	}
 	c.gridDirty = false
 }
 
 // migrate moves radio r (whose position is already updated) from the
 // bucket of its current cell handle into the bucket of cell k. The
-// source bucket uses swap-remove — O(1), order restored lazily — and
-// the destination appends; only these two buckets are touched, so a
-// burst of mobility costs O(moved) rather than a full reindex.
+// source bucket uses swap-remove and the destination appends; only these
+// two buckets are touched, so a burst of mobility costs O(moved) rather
+// than a full reindex.
 //
 //desalint:hotpath
 func (c *Channel) migrate(r *Radio, k cellKey) {
 	id := int32(r.id)
 	oldSlot := c.cells[r.cell]
 	b := c.buckets[oldSlot]
-	idx := -1
-	if c.bucketDirty[oldSlot] {
-		for i, v := range b {
-			if v == id {
-				idx = i
-				break
-			}
-		}
-	} else if i, ok := slices.BinarySearch(b, id); ok {
-		idx = i
-	}
 	last := len(b) - 1
-	if idx != last {
-		b[idx] = b[last]
-		c.bucketDirty[oldSlot] = true
-	}
+	b[slices.Index(b, id)] = b[last]
 	c.buckets[oldSlot] = b[:last]
 	if last == 0 {
 		delete(c.cells, r.cell)
 		c.freeSlots = append(c.freeSlots, oldSlot)
-		c.bucketDirty[oldSlot] = false
 	}
 
 	slot, ok := c.cells[k]
@@ -565,53 +567,132 @@ func (c *Channel) migrate(r *Radio, k cellKey) {
 		} else {
 			if c.usedBuckets == len(c.buckets) {
 				c.buckets = append(c.buckets, nil)
-				c.bucketDirty = append(c.bucketDirty, false)
 			}
 			slot = c.usedBuckets
 			c.usedBuckets++
 		}
 		c.cells[k] = slot
 	}
-	nb := c.buckets[slot]
-	if len(nb) > 0 && nb[len(nb)-1] > id {
-		c.bucketDirty[slot] = true
-	}
-	c.buckets[slot] = append(nb, id)
+	c.buckets[slot] = append(c.buckets[slot], id)
 	r.cell = k
 }
 
 // gather collects the IDs of every radio in the 3×3 cell block around
-// pos into lane l's scratch buffer, sorted ascending so delivery order
-// matches a full ID-order scan bit for bit. The grid itself is shared
-// across lanes but frozen before partitioned execution starts (no
-// mobility under partitioning), so concurrent gathers only read it.
-//
-//desalint:hotpath
-func (c *Channel) gather(l *lane, pos geom.Point) []int32 {
+// r's cell — everything within range of any point in that cell — into
+// the channel's scratch buffer, in no particular order. Only audience
+// fills call it, and a partitioned channel fills every audience before
+// it freezes placement, so gather never runs inside a partitioned window.
+func (c *Channel) gather(r *Radio) []int32 {
 	if c.gridDirty {
 		c.rebuildGrid()
 	}
-	center := c.cellOf(pos)
-	out := l.scratch[:0]
+	center := r.cell
+	out := c.scratch[:0]
 	for dx := int32(-1); dx <= 1; dx++ {
 		for dy := int32(-1); dy <= 1; dy++ {
 			if slot, ok := c.cells[cellKey{x: center.x + dx, y: center.y + dy}]; ok {
-				if c.bucketDirty[slot] {
-					// Restore the per-bucket sorted order broken by a
-					// migration's swap-remove or append. Only ever true on
-					// the sequential kernel: a partitioned channel rebuilds
-					// (clearing every flag) and then freezes placement, so
-					// concurrent gathers never write.
-					slices.Sort(c.buckets[slot])
-					c.bucketDirty[slot] = false
-				}
 				out = append(out, c.buckets[slot]...)
 			}
 		}
 	}
-	slices.Sort(out)
-	l.scratch = out
+	c.scratch = out
 	return out
+}
+
+// hears reports whether dst belongs to src's audience: another radio
+// within range.
+func (c *Channel) hears(src, dst *Radio) bool {
+	return dst != src && dst.pos.Dist2(src.pos) <= c.params.Range*c.params.Range
+}
+
+// appendAudience appends to out every candidate in src's audience, in
+// candidate order, with its bearing.
+func (c *Channel) appendAudience(out []audEntry, src *Radio, cands []int32) []audEntry {
+	for _, cand := range cands {
+		dst := c.radios[cand]
+		if c.hears(src, dst) {
+			out = append(out, audEntry{dst: dst, bearing: src.pos.Bearing(dst.pos)})
+		}
+	}
+	return out
+}
+
+// pathLoss is the SINR path loss from src to dst, with the distance
+// clamped away from zero.
+func (c *Channel) pathLoss(src, dst *Radio) float64 {
+	d := src.pos.Dist(dst.pos)
+	if d < 1e-6 {
+		d = 1e-6
+	}
+	return math.Pow(d, c.params.PathLoss)
+}
+
+// audience returns r's audience, refilling it first if placement changed
+// since it was filled. After AddRadio or AddRadios every audience is
+// refilled at once; after SetPos only the audience being read is, so
+// mobility churn stays O(moved) until the next reads.
+//
+//desalint:hotpath
+func (c *Channel) audience(r *Radio) []audEntry {
+	if c.audReset {
+		c.fillAudiences()
+	} else if r.audGen != c.gen {
+		c.refillAudience(r)
+	}
+	return r.aud
+}
+
+// refillAudience recomputes one radio's audience in place: the work the
+// per-frame scan did before audiences were cached (gather, sort the
+// candidate IDs, keep those in range with their bearings), done once per
+// placement instead of once per frame.
+func (c *Channel) refillAudience(r *Radio) {
+	cands := c.gather(r)
+	slices.Sort(cands)
+	r.aud = c.appendAudience(r.aud[:0], r, cands)
+	r.audGen = c.gen
+}
+
+// fillAudiences refills every radio's audience. The 3×3 block is
+// gathered and sorted once per occupied cell and shared by every radio
+// in it. A counting pass sizes one backing array exactly, and each
+// audience is a capped subslice of it, so the fill costs one allocation
+// at any N (DESIGN.md §15) and a later refill that grows reallocates
+// privately instead of overwriting a neighbor's entries.
+func (c *Channel) fillAudiences() {
+	if c.gridDirty {
+		c.rebuildGrid()
+	}
+	total := 0
+	for slot := 0; slot < c.usedBuckets; slot++ {
+		if len(c.buckets[slot]) == 0 {
+			continue // parked on freeSlots
+		}
+		cands := c.gather(c.radios[c.buckets[slot][0]])
+		for _, id := range c.buckets[slot] {
+			for _, cand := range cands {
+				if c.hears(c.radios[id], c.radios[cand]) {
+					total++
+				}
+			}
+		}
+	}
+	back := make([]audEntry, 0, total)
+	for slot := 0; slot < c.usedBuckets; slot++ {
+		if len(c.buckets[slot]) == 0 {
+			continue
+		}
+		cands := c.gather(c.radios[c.buckets[slot][0]])
+		slices.Sort(cands)
+		for _, id := range c.buckets[slot] {
+			r := c.radios[id]
+			start := len(back)
+			back = c.appendAudience(back, r, cands)
+			r.aud = back[start:len(back):len(back)]
+			r.audGen = c.gen
+		}
+	}
+	c.audReset = false
 }
 
 // allocSignal takes a recycled signal or makes a new one.
@@ -735,6 +816,8 @@ func (c *Channel) AddRadio(pos geom.Point, handler Handler) *Radio {
 	r.txDone.r = r
 	c.radios = append(c.radios, r)
 	c.gridDirty = true
+	c.gen++
+	c.audReset = true
 	return r
 }
 
@@ -756,6 +839,8 @@ func (c *Channel) AddRadios(positions []geom.Point) {
 		c.radios = append(c.radios, r)
 	}
 	c.gridDirty = true
+	c.gen++
+	c.audReset = true
 }
 
 // SetHandler installs the MAC handler for a radio.
@@ -816,47 +901,51 @@ func (c *Channel) Neighbors(id NodeID) []NodeID {
 }
 
 // NeighborsAppend appends the IDs of all radios within range of id to
-// dst (in ID order) and returns the extended slice. Passing a reused
-// buffer keeps bulk queries — one per node at build time — free of
-// per-call allocations. The result must be consumed before the next
-// gather on the channel (it is built from lane 0's scratch walk).
+// dst (in ID order) and returns the extended slice. The IDs come from
+// id's cached audience, so neighbor tables and traffic lists built from
+// it share one computation with propagation. Passing a reused buffer
+// keeps bulk queries — one per node at build time — free of per-call
+// allocations.
 func (c *Channel) NeighborsAppend(id NodeID, dst []NodeID) []NodeID {
 	self := c.Radio(id)
 	if self == nil {
 		return dst
 	}
-	r2 := c.params.Range * c.params.Range
-	for _, cand := range c.gather(c.lanes[0], self.pos) {
-		o := c.radios[cand]
-		if o.id != id && o.pos.Dist2(self.pos) <= r2 {
-			dst = append(dst, o.id)
-		}
+	for _, a := range c.audience(self) {
+		dst = append(dst, a.dst.id)
 	}
 	return dst
 }
 
+// NeighborPairs returns the number of (radio, neighbor) pairs in range:
+// the summed length of NeighborsAppend over every radio, so bulk callers
+// can size one backing array up front.
+func (c *Channel) NeighborPairs() int {
+	n := 0
+	for _, r := range c.radios {
+		n += len(c.audience(r))
+	}
+	return n
+}
+
 // propagate schedules signal start/end at every radio that hears the
-// transmission: in range, inside the beam, and not the sender itself.
-// Candidates come from the spatial grid (the sender's cell block), and
-// the received-power computation is deferred until after the beam check —
-// out-of-beam neighbors never pay for a math.Pow. Receivers in another
-// lane get their deliveries staged on the source lane's outbox instead
-// of scheduled directly; FlushCross routes them between windows.
+// transmission: in the sender's audience (in range, not the sender
+// itself) and inside the beam. The received power divides the beam gain
+// by the path loss, which is worked out only after the beam check and
+// then kept in the audience entry; the entry belongs to the sender,
+// whose lane is the only one that runs its transmissions. Receivers in
+// another lane get their deliveries staged on the source lane's outbox
+// instead of scheduled directly; FlushCross routes them between windows.
 //
 //desalint:hotpath
 func (c *Channel) propagate(src *Radio, f Frame, m Mode, airtime des.Time) {
 	l := src.lane
-	r2 := c.params.Range * c.params.Range
 	now := l.sched.Now()
-	for _, cand := range c.gather(l, src.pos) {
-		dst := c.radios[cand]
-		if dst.id == src.id {
-			continue
-		}
-		if dst.pos.Dist2(src.pos) > r2 {
-			continue
-		}
-		if !m.Covers(src.pos.Bearing(dst.pos)) {
+	aud := c.audience(src)
+	for i := range aud {
+		a := &aud[i]
+		dst := a.dst
+		if !m.Covers(a.bearing) {
 			if c.params.NAVOracle {
 				if dst.lane == l {
 					l.sched.ScheduleEvent(c.params.PropDelay+airtime, l.allocHint(dst, f))
@@ -868,11 +957,10 @@ func (c *Channel) propagate(src *Radio, f Frame, m Mode, airtime des.Time) {
 		}
 		power := 0.0
 		if c.params.sinr() {
-			d := src.pos.Dist(dst.pos)
-			if d < 1e-6 {
-				d = 1e-6
+			if a.loss == 0 {
+				a.loss = c.pathLoss(src, dst)
 			}
-			power = m.Gain() / math.Pow(d, c.params.PathLoss)
+			power = m.Gain() / a.loss
 		}
 		if dst.lane != l {
 			l.stage(dst, f, power, now+c.params.PropDelay, now+c.params.PropDelay+airtime, false)

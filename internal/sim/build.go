@@ -81,7 +81,13 @@ type Sim struct {
 	tel      *telemetryCollector
 	parts    []*des.Scheduler // partition schedulers; parts[0] == Sched (len > 1 iff partitioned)
 	workers  int
+	events   uint64
 }
+
+// Events reports how many kernel events the run executed, summed over
+// every partition (Sched.Executed() on the sequential kernel). It is 0
+// before Run.
+func (s *Sim) Events() uint64 { return s.events }
 
 // Partitions reports how many event-queue partitions the build planned
 // (1 for the sequential kernel).
@@ -332,11 +338,11 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 	}
 	// Per-node assembly is allocation-lean (DESIGN.md §15): MAC nodes
 	// come from one backing array, and each node's neighbor list is
-	// carved from one shared append-grown backing (capped subslices whose
-	// ownership transfers to the traffic source), so the loop costs O(1)
-	// allocations per node at any N.
+	// carved from one exactly sized shared backing (capped subslices
+	// whose ownership transfers to the traffic source), so the loop costs
+	// O(1) allocations per node at any N.
 	nodeBacking := make([]mac.Node, ch.NumRadios())
-	var nbBack []phy.NodeID
+	nbBack := make([]phy.NodeID, 0, ch.NeighborPairs())
 	for i := 0; i < ch.NumRadios(); i++ {
 		id := phy.NodeID(i)
 		// Every node lives entirely on its partition's scheduler: its MAC
@@ -422,9 +428,10 @@ func (s *Sim) Run() (*Result, error) {
 			Lookahead: s.Channel.Params().PropDelay,
 			Flush:     s.Channel.FlushCross,
 		}
-		g.Run(start+duration, workers)
+		s.events = g.Run(start+duration, workers)
 	} else {
 		s.Sched.Run(start + duration)
+		s.events = s.Sched.Executed()
 	}
 	if s.tel != nil {
 		if err := s.tel.finish(s); err != nil {

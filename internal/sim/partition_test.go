@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/des"
@@ -130,10 +131,44 @@ func TestPartitionedRunWorkerInvariance(t *testing.T) {
 		return b
 	}
 	want := run(1)
+	atLeastProcs(t, 8)
 	for _, workers := range []int{2, 4, 8} {
 		if got := run(workers); !bytes.Equal(got, want) {
 			t.Errorf("workers=%d: Result diverged from workers=1", workers)
 		}
+	}
+}
+
+// TestPartitionedSINRWorkerInvariance runs the SINR receiver on the
+// partitioned kernel. Each sender's lane works out the path loss of the
+// receivers its beams cover and keeps it in the sender's audience, so
+// under -race this checks that lanes never share those writes, and the
+// Result must still not depend on the worker count.
+func TestPartitionedSINRWorkerInvariance(t *testing.T) {
+	sc := partitionedScenario()
+	sc.PHY.SINR = true
+	run := func(workers int) []byte {
+		s, err := Build(sc, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Partitions() < 2 {
+			t.Fatalf("scenario built %d partitions, want >= 2", s.Partitions())
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want := run(1)
+	atLeastProcs(t, 4)
+	if got := run(4); !bytes.Equal(got, want) {
+		t.Error("workers=4: SINR Result diverged from workers=1")
 	}
 }
 
@@ -193,5 +228,62 @@ func TestScenarioValidatePartition(t *testing.T) {
 	sc.Partition = "parallel"
 	if err := sc.Validate(); err == nil {
 		t.Error("partition \"parallel\": want validation error")
+	}
+}
+
+// TestSimEvents: Sim.Events reports the kernel events a run executed.
+// On the sequential kernel that is exactly Sched.Executed(); on a
+// partitioned run it is the sum over partitions, which the fixed round
+// structure makes independent of the worker count.
+func TestSimEvents(t *testing.T) {
+	seq := partitionedScenario()
+	seq.Partition = "off"
+	s, err := Build(seq, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Events() != 0 {
+		t.Fatalf("Events() = %d before Run, want 0", s.Events())
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Events(), s.Sched.Executed(); got != want || got == 0 {
+		t.Fatalf("sequential Events() = %d, Sched.Executed() = %d", got, want)
+	}
+
+	sc, err := LoadScenario("testdata/parallel-uniform.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := func(workers int) uint64 {
+		s, err := Build(sc, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Partitions() < 2 {
+			t.Fatalf("scenario built %d partitions, want >= 2", s.Partitions())
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return s.Events()
+	}
+	atLeastProcs(t, 4)
+	k1, k4 := events(1), events(4)
+	if k1 == 0 || k1 != k4 {
+		t.Fatalf("partitioned Events(): workers=1 ran %d, workers=4 ran %d", k1, k4)
+	}
+}
+
+// atLeastProcs raises GOMAXPROCS to at least n until the test ends.
+// des.Group.Run clamps workers to GOMAXPROCS, and GOMAXPROCS may exceed
+// the core count, so a test that names a worker count runs that many on
+// any host.
+func atLeastProcs(t *testing.T, n int) {
+	t.Helper()
+	if prev := runtime.GOMAXPROCS(0); prev < n {
+		runtime.GOMAXPROCS(n)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	}
 }
